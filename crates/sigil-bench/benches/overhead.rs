@@ -1,14 +1,14 @@
 //! Criterion companion to Figures 4/5: per-benchmark cost of a native
-//! (null-observer) run vs Callgrind-like profiling vs full Sigil
-//! profiling of the same trace, plus the cost of running the same
-//! profile with `sigil-obs` instrumentation enabled vs disabled
-//! (`sigil_obs_off` should match `sigil` — the disabled path is a
-//! handful of relaxed atomic loads).
+//! run (events counted behind a never-inlined call) vs Callgrind-like
+//! profiling vs full Sigil profiling of the same trace, plus the cost
+//! of running the same profile with `sigil-obs` instrumentation enabled
+//! vs disabled (`sigil_obs_off` should match `sigil` — the disabled
+//! path is a handful of relaxed atomic loads).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use sigil_bench::NativeFloor;
 use sigil_callgrind::{CallgrindConfig, CallgrindProfiler};
 use sigil_core::{SigilConfig, SigilProfiler};
-use sigil_trace::observer::NullObserver;
 use sigil_trace::Engine;
 use sigil_workloads::{Benchmark, InputSize};
 
@@ -27,7 +27,7 @@ fn overhead(c: &mut Criterion) {
             &bench,
             |b, &bench| {
                 b.iter(|| {
-                    let mut engine = Engine::new(NullObserver);
+                    let mut engine = Engine::new(NativeFloor::default());
                     bench.run(InputSize::SimSmall, &mut engine);
                     engine.finish()
                 });

@@ -1,29 +1,17 @@
-//! Pipelined epoch dispatch vs. the legacy per-access dispatch path.
+//! Pipelined epoch dispatch across shard counts.
 //!
 //! The sharded replay engine (`sigil_core::shard`) resolves accesses in
 //! epochs: with no shadow-chunk limit the dispatch-side residency oracle
 //! is elided entirely, and consecutive same-shard runs coalesce into one
-//! channel record. This group prices that restructuring two ways:
-//!
-//! - `replay_dense/N` — the default pipelined engine across shard counts
-//!   1, 2, 4, and 8 (the scaling curve recorded in
-//!   `BENCH_shadow_pipeline.json`);
-//! - `legacy_dispatch/N` — the same replay with the dispatch oracle
-//!   pinned on and coalescing off
-//!   (`with_forced_dispatch_oracle().without_dispatch_coalescing()`),
-//!   i.e. the pre-pipeline per-access behaviour kept as a baseline.
+//! channel record. `replay_dense/N` prices the engine at shard counts 1,
+//! 2, 4 and 8 on a dense producer/consumer trace.
 //!
 //! Each iteration includes `into_profile`, which joins the workers and
 //! merges their fragments — the full cost a `sigil profile --shards N`
-//! run pays.
-//!
-//! Interpretation note: on a single-core container the sharded arms
-//! price pure overhead, so the honest claim here is *reduced
-//! dispatch-thread cost per access* (see the `pipeline_dispatch` binary
-//! for the direct `dispatch.busy_ns` comparison), not wall-clock
-//! speedup. Multi-core scaling is environment-gated; see
-//! `BENCH_shadow_pipeline.json` for the measured numbers and the core
-//! count they were taken on.
+//! run pays. On a machine with fewer cores than shards the sharded arms
+//! price overhead, not speedup. The dispatch thread's own cost per
+//! access is measured by the traced run of the one-command benchmark
+//! (`shard.dispatch_ns_per_access`, `shard.records_per_access`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sigil_core::{SigilConfig, SigilProfiler};
@@ -67,27 +55,6 @@ fn shadow_pipeline(c: &mut Criterion) {
             .with_shards(shards);
         group.bench_with_input(
             BenchmarkId::new("replay_dense", shards),
-            &events,
-            |b, events| {
-                b.iter(|| {
-                    let mut profiler = SigilProfiler::new(config);
-                    replay(events, &mut profiler);
-                    black_box(profiler.into_profile(symbols.clone()))
-                });
-            },
-        );
-    }
-    // Legacy baseline: dispatch oracle pinned on, coalescing off. Only
-    // meaningful for sharded replay (serial has no dispatch thread).
-    for shards in [2usize, 4, 8] {
-        let config = SigilConfig::default()
-            .with_reuse_mode()
-            .with_line_mode(64)
-            .with_shards(shards)
-            .with_forced_dispatch_oracle()
-            .without_dispatch_coalescing();
-        group.bench_with_input(
-            BenchmarkId::new("legacy_dispatch", shards),
             &events,
             |b, events| {
                 b.iter(|| {

@@ -17,8 +17,8 @@ fn main() {
     println!("{:>14} {:>14} {:>14}", "benchmark", "simsmall", "simmedium");
     let mut csv = Vec::new();
     for bench in Benchmark::parsec() {
-        let small = measure_overhead(bench, InputSize::SimSmall, 2);
-        let medium = measure_overhead(bench, InputSize::SimMedium, 1);
+        let small = measure_overhead(bench, InputSize::SimSmall, 3);
+        let medium = measure_overhead(bench, InputSize::SimMedium, 3);
         println!(
             "{:>14} {:>13.1}x {:>13.1}x",
             bench.name(),

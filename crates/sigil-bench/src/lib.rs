@@ -15,8 +15,8 @@ pub mod obs;
 use sigil_callgrind::{CallgrindConfig, CallgrindProfiler};
 use sigil_core::sweep::{sweep, SweepEntry};
 use sigil_core::{Profile, SigilConfig, SigilProfiler};
-use sigil_trace::observer::NullObserver;
-use sigil_trace::Engine;
+use sigil_trace::observer::CountingObserver;
+use sigil_trace::{Engine, ExecutionObserver, RuntimeEvent};
 use sigil_workloads::{Benchmark, InputSize};
 
 /// Collects a Sigil profile of `bench` at `size` under `config`.
@@ -62,11 +62,12 @@ pub struct OverheadRow {
     pub bench: Benchmark,
     /// Input size used.
     pub size: InputSize,
-    /// Wall time of the uninstrumented (null-observer) run.
+    /// Median wall time of the native run: the workload generator
+    /// driving a [`NativeFloor`].
     pub native: Duration,
-    /// Wall time under the Callgrind-like profiler.
+    /// Median wall time under the Callgrind-like profiler.
     pub callgrind: Duration,
-    /// Wall time under the full Sigil profiler.
+    /// Median wall time under the full Sigil profiler.
     pub sigil: Duration,
 }
 
@@ -91,35 +92,48 @@ fn ratio(a: Duration, b: Duration) -> f64 {
     a.as_secs_f64() / b.as_secs_f64().max(1e-9)
 }
 
-/// Measures the three-way overhead of one benchmark. `reps` repetitions
-/// of the *native* run are used (instrumented runs are long enough to
-/// time once).
-pub fn measure_overhead(bench: Benchmark, size: InputSize, reps: u32) -> OverheadRow {
-    // Native: the workload generator running flat out into a no-op sink.
-    let reps = reps.max(1);
-    let (_, native_total) = time(|| {
-        for _ in 0..reps {
-            let mut engine = Engine::new(NullObserver);
-            bench.run(size, &mut engine);
-            let _ = engine.finish();
-        }
-    });
-    let native = native_total / reps;
+/// The native baseline's observer: counts events behind a call the
+/// optimizer may not inline, so a generator driven into it cannot be
+/// folded away and each event costs the call a profiler's does.
+#[derive(Debug, Default)]
+pub struct NativeFloor(pub CountingObserver);
 
-    let (_, callgrind) = time(|| {
+impl ExecutionObserver for NativeFloor {
+    #[inline(never)]
+    fn on_event(&mut self, event: RuntimeEvent) {
+        self.0.on_event(event);
+    }
+}
+
+/// Median wall time of `reps` runs (at least one), after one untimed
+/// warm-up run.
+fn median_time(reps: u32, mut run: impl FnMut()) -> Duration {
+    run();
+    let mut times: Vec<Duration> = (0..reps.max(1)).map(|_| time(&mut run).1).collect();
+    times.sort_unstable();
+    times[times.len() / 2]
+}
+
+/// Measures the three-way overhead of one benchmark. Each arm — native,
+/// Callgrind, Sigil — is the median of `reps` runs after one warm-up.
+pub fn measure_overhead(bench: Benchmark, size: InputSize, reps: u32) -> OverheadRow {
+    let native = median_time(reps, || {
+        let mut engine = Engine::new(NativeFloor::default());
+        bench.run(size, &mut engine);
+        std::hint::black_box(engine.finish());
+    });
+    let callgrind = median_time(reps, || {
         let mut engine = Engine::new(CallgrindProfiler::new(CallgrindConfig::default()));
         bench.run(size, &mut engine);
         let (profiler, symbols) = engine.finish_with_symbols();
         std::hint::black_box(profiler.into_profile(symbols));
     });
-
-    let (_, sigil) = time(|| {
+    let sigil = median_time(reps, || {
         let mut engine = Engine::new(SigilProfiler::new(SigilConfig::default()));
         bench.run(size, &mut engine);
         let (profiler, symbols) = engine.finish_with_symbols();
         std::hint::black_box(profiler.into_profile(symbols));
     });
-
     OverheadRow {
         bench,
         size,
@@ -174,8 +188,8 @@ mod tests {
 
     #[test]
     fn measure_overhead_orders_sensibly() {
-        let row = measure_overhead(Benchmark::Streamcluster, InputSize::SimSmall, 2);
-        // Sigil must cost more than the null-observer run.
+        let row = measure_overhead(Benchmark::Streamcluster, InputSize::SimSmall, 3);
+        // Sigil must cost more than the native run.
         assert!(row.sigil > row.native);
     }
 }

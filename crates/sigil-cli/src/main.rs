@@ -72,7 +72,7 @@ fn usage() -> &'static str {
      client:  sigil client <benchmark|file.evb|shutdown> --connect <addr|path> [--check]\n\
      options: --size <simsmall|simmedium|simlarge> (alias: --scale) --reuse --lines <bytes> --events\n\
               --limit <chunks> --cores <n> --jobs <n> --shards <n> -o <file> --json --table\n\
-              --seeds <n> --seed-base <n> --threads <n> --golden-dir <dir> --bless --unbounded\n\
+              --seeds <n> --seed-base <n> --threads <n> --golden-dir <dir> --bless\n\
               --from-events <file> --chunk-records <n> --verify\n\
               --listen <addr|path> --connect <addr|path> --credits <n> --idle-timeout-ms <n> --check\n\
               --bucket-ops <n> (alias: --bucket-us) phase bucket width in retired ops\n\
@@ -142,9 +142,6 @@ struct Options {
     /// `sigil client --check`: also profile locally and require the
     /// server's result to be byte-identical.
     check: bool,
-    /// `sigil diff --unbounded`: restrict the differential matrix to
-    /// the no-limit axis (oracle-elided + pinned legacy dispatch).
-    unbounded: bool,
     /// Guest threads for `sigil diff` random-program generation.
     threads: u32,
 }
@@ -191,7 +188,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         credits: 8,
         idle_timeout_ms: 30_000,
         check: false,
-        unbounded: false,
         threads: 1,
     };
     let mut it = args[1..].iter();
@@ -317,7 +313,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 opts.chunk_records = Some(n);
             }
             "--verify" => opts.verify = true,
-            "--unbounded" => opts.unbounded = true,
             "--listen" => {
                 let value = it
                     .next()
@@ -1021,20 +1016,16 @@ fn cmd_diff(opts: &Options) -> Result<(), String> {
 
 /// Replays seeded random programs through the production profiler and the
 /// oracle under the full config matrix (crossed with the shard axis, or
-/// with `--shards N` pinned; `--unbounded` restricts to the no-limit
-/// axis, whose sharded entries cover both the oracle-elided and the
-/// pinned legacy dispatch paths); any divergence is shrunk to a
-/// minimized repro and reported as an error.
+/// with `--shards N` pinned); any divergence is shrunk to a minimized
+/// repro and reported as an error.
 fn cmd_diff_random(opts: &Options) -> Result<(), String> {
     use sigil_oracle::harness;
     let limit = opts.limit;
     let end = opts.seed_base + opts.seeds;
     let mut configs_checked = 0usize;
     for seed in opts.seed_base..end {
-        let failures =
-            harness::diff_seed_mt(seed, opts.threads, limit, opts.shards, opts.unbounded);
-        configs_checked +=
-            harness::differential_configs_filtered(seed, limit, opts.shards, opts.unbounded).len();
+        let failures = harness::diff_seed_mt(seed, opts.threads, limit, opts.shards);
+        configs_checked += harness::differential_configs(seed, limit, opts.shards).len();
         if let Some(failure) = failures.first() {
             let program = sigil_vm::GenProgram::generate_mt(seed, opts.threads);
             let minimized = harness::shrink(&program, failure.config, None);

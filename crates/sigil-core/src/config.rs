@@ -46,19 +46,6 @@ pub struct SigilConfig {
     /// profile is byte-identical to serial replay (see
     /// [`crate::shard`]).
     pub shards: usize,
-    /// Keep the dispatch-side residency oracle even when the shadow
-    /// memory is unbounded. Without a chunk limit the oracle decides
-    /// nothing (there are no evictions) and sharded dispatch normally
-    /// elides it entirely, reproducing its counters arithmetically; this
-    /// knob forces the legacy per-run oracle path so benches and the
-    /// differential matrix can hold both paths to the same profiles.
-    pub force_dispatch_oracle: bool,
-    /// Disable the dispatch-side coalescing of consecutive same-shard
-    /// runs into one [`crate::shard`] access record. Coalescing is
-    /// byte-transparent (workers reconstruct per-access metadata); this
-    /// knob pins the one-record-per-run baseline for A/B measurement
-    /// and differential coverage.
-    pub no_dispatch_coalesce: bool,
     /// Configuration of the embedded Callgrind-like profiler.
     pub callgrind: CallgrindConfig,
 }
@@ -73,8 +60,6 @@ impl Default for SigilConfig {
             record_events: false,
             phase_bucket_ops: None,
             shards: 1,
-            force_dispatch_oracle: false,
-            no_dispatch_coalesce: false,
             callgrind: CallgrindConfig::default(),
         }
     }
@@ -131,22 +116,6 @@ impl SigilConfig {
         self
     }
 
-    /// Forces the dispatch-side residency oracle even with unbounded
-    /// shadow memory (the pre-pipelined dispatch path).
-    #[must_use]
-    pub fn with_forced_dispatch_oracle(mut self) -> Self {
-        self.force_dispatch_oracle = true;
-        self
-    }
-
-    /// Disables dispatch-side run coalescing (one access record per
-    /// chunk run, the pre-pipelined message shape).
-    #[must_use]
-    pub fn without_dispatch_coalescing(mut self) -> Self {
-        self.no_dispatch_coalesce = true;
-        self
-    }
-
     /// Overrides the embedded Callgrind configuration.
     #[must_use]
     pub fn with_callgrind(mut self, callgrind: CallgrindConfig) -> Self {
@@ -189,16 +158,5 @@ mod tests {
         assert_eq!(c.eviction, EvictionPolicy::Lru);
         assert_eq!(c.line_size, Some(128));
         assert_eq!(c.with_phases(0).phase_bucket_ops, Some(1), "width clamps");
-    }
-
-    #[test]
-    fn dispatch_knobs_default_to_the_pipelined_path() {
-        let c = SigilConfig::default();
-        assert!(!c.force_dispatch_oracle);
-        assert!(!c.no_dispatch_coalesce);
-        let legacy = c
-            .with_forced_dispatch_oracle()
-            .without_dispatch_coalescing();
-        assert!(legacy.force_dispatch_oracle && legacy.no_dispatch_coalesce);
     }
 }

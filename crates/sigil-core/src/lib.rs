@@ -55,6 +55,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod classify;
 pub mod config;
 pub mod events_bin;
 pub mod events_out;

@@ -6,17 +6,16 @@ use serde::{Deserialize, Serialize};
 use sigil_callgrind::{CallgrindProfiler, ContextId};
 use sigil_mem::{LineShadow, MemoryStats, Owner, ShadowObject, ShadowTable};
 use sigil_trace::{
-    CallNumber, ExecutionObserver, FunctionId, MemAccess, OpClock, RuntimeEvent, SymbolTable,
-    Timestamp,
+    CallNumber, ExecutionObserver, MemAccess, OpClock, RuntimeEvent, SymbolTable, Timestamp,
 };
 
+use crate::classify::{Reader, Tally, Transfers};
 use crate::config::SigilConfig;
 use crate::events_out::EventFile;
-use crate::phase::{PhaseBuilder, PhaseProfile};
+use crate::phase::PhaseBuilder;
 use crate::profile::{ContextComm, Profile};
-use crate::reuse::ContextReuse;
 use crate::shard::{sequence_events, ShardEngine, ShardFragment};
-use crate::stats::{CommEdge, CommStats};
+use crate::stats::CommStats;
 
 #[derive(Debug, Clone, Copy)]
 struct Frame {
@@ -24,12 +23,6 @@ struct Frame {
     call: CallNumber,
     /// Retired ops since this frame's last flushed compute fragment.
     pending_ops: u64,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct EdgeAccum {
-    pub(crate) unique: u64,
-    pub(crate) nonunique: u64,
 }
 
 /// Aggregated line-granularity reuse report (drives Figure 12).
@@ -60,16 +53,6 @@ impl LineReport {
     }
 }
 
-/// The pieces `into_profile` assembles, from either finish path.
-type ProfileParts = (
-    MemoryStats,
-    Vec<CommStats>,
-    Vec<CommEdge>,
-    Option<Vec<ContextReuse>>,
-    Option<EventFile>,
-    Option<PhaseProfile>,
-);
-
 /// The Sigil profiler: an [`ExecutionObserver`] that shadows every data
 /// byte to classify communication (see the crate docs for the
 /// methodology).
@@ -88,9 +71,11 @@ pub struct SigilProfiler {
     /// Per-thread frame stacks; key is the raw thread id.
     thread_frames: HashMap<u32, Vec<Frame>>,
     current_thread: u32,
-    comm: Vec<CommStats>,
-    edges: HashMap<(ContextId, ContextId), EdgeAccum>,
-    reuse: Option<Vec<ContextReuse>>,
+    /// Table-I tallies. In sharded mode only the whole-access byte
+    /// counts land here; classification comes back from the workers.
+    tally: Tally,
+    /// Per-access transfer scratch for serial reads.
+    transfers: Transfers,
     events: Option<EventFile>,
     /// Phase-sliced profile builder (present when phase collection is
     /// on). In sharded mode this dispatch-side builder tallies calls;
@@ -123,9 +108,8 @@ impl SigilProfiler {
             call_counter: CallNumber::ROOT,
             thread_frames: HashMap::from([(0, Vec::with_capacity(64))]),
             current_thread: 0,
-            comm: Vec::new(),
-            edges: HashMap::new(),
-            reuse: config.reuse_mode.then(Vec::new),
+            tally: Tally::new(config.reuse_mode),
+            transfers: Transfers::new(config.record_events, config.phase_bucket_ops.is_some()),
             // Sharded event files are sequenced from the dispatch log at
             // the end of the run instead of being built incrementally.
             events: (config.record_events && !sharded).then(EventFile::new),
@@ -150,13 +134,17 @@ impl SigilProfiler {
     /// from the workers' per-batch snapshots (it may lag in-flight
     /// batches; the finished profile's stats are exact).
     pub fn memory_stats(&self) -> MemoryStats {
-        let byte_stats = match &self.engine {
+        self.with_lines(match &self.engine {
             Some(engine) => engine.memory_stats(),
             None => self.shadow.stats(),
-        };
+        })
+    }
+
+    /// The shadow footprint, line shadow included.
+    fn with_lines(&self, memory: MemoryStats) -> MemoryStats {
         match &self.lines {
-            Some(lines) => byte_stats.combined(lines.memory_stats()),
-            None => byte_stats,
+            Some(lines) => memory.combined(lines.memory_stats()),
+            None => memory,
         }
     }
 
@@ -189,51 +177,6 @@ impl SigilProfiler {
             })
     }
 
-    fn comm_mut(&mut self, ctx: ContextId) -> &mut CommStats {
-        Self::comm_entry(&mut self.comm, ctx)
-    }
-
-    /// Field-level variant of [`comm_mut`](Self::comm_mut) usable while
-    /// `self.shadow` is mutably borrowed by a run iterator.
-    pub(crate) fn comm_entry(comm: &mut Vec<CommStats>, ctx: ContextId) -> &mut CommStats {
-        let idx = ctx.index();
-        if idx >= comm.len() {
-            comm.resize(idx + 1, CommStats::default());
-        }
-        &mut comm[idx]
-    }
-
-    /// Flushes one producer segment — a maximal stretch of consecutive
-    /// bytes sharing a last-writer context — into the producer's output
-    /// tallies and the producer→consumer edge map.
-    pub(crate) fn flush_producer(
-        comm: &mut Vec<CommStats>,
-        edges: &mut HashMap<(ContextId, ContextId), EdgeAccum>,
-        producer_ctx: ContextId,
-        consumer_ctx: ContextId,
-        seg: EdgeAccum,
-    ) {
-        let producer_stats = Self::comm_entry(comm, producer_ctx);
-        producer_stats.output_unique_bytes += seg.unique;
-        producer_stats.output_nonunique_bytes += seg.nonunique;
-        let edge = edges.entry((producer_ctx, consumer_ctx)).or_default();
-        edge.unique += seg.unique;
-        edge.nonunique += seg.nonunique;
-    }
-
-    pub(crate) fn reuse_flush(
-        reuse_vec: &mut Vec<ContextReuse>,
-        reader: Owner,
-        info: sigil_mem::ReuseInfo,
-    ) {
-        let idx = reader.ctx as usize;
-        while reuse_vec.len() <= idx {
-            let next = ContextId(u32::try_from(reuse_vec.len()).expect("context count fits u32"));
-            reuse_vec.push(ContextReuse::new(next));
-        }
-        reuse_vec[idx].record(info.reuse_count, info.lifetime());
-    }
-
     fn flush_pending(&mut self) {
         if self.events.is_none() {
             return;
@@ -257,6 +200,10 @@ impl SigilProfiler {
         self.flush_pending();
         if let Some(events) = self.events.as_mut() {
             events.push_call(parent.call, call, ctx);
+        }
+        if let Some(engine) = self.engine.as_mut() {
+            engine.sync_ctxs(self.cg.tree());
+            engine.log_call(call, ctx);
         }
         if let Some(builder) = self.phases.as_mut() {
             // The call is tallied at the pre-tick clock.
@@ -284,329 +231,118 @@ impl SigilProfiler {
         self.phase_clock += count;
     }
 
+    /// Retires ops of an `Op` or `Branch` event.
+    fn retire_ops(&mut self, count: u64) {
+        self.retire_pending(count);
+        if let Some(engine) = self.engine.as_mut() {
+            engine.log_ops(count);
+        }
+    }
+
     fn handle_leave(&mut self) {
         self.flush_pending();
+        if let Some(engine) = self.engine.as_mut() {
+            engine.log_return();
+        }
         self.frames_mut().pop();
     }
 
-    fn handle_read(&mut self, access: MemAccess, at: Timestamp) {
-        if access.is_empty() {
-            return;
-        }
-        // Loop invariants, hoisted: the consuming frame, its shadow owner
-        // tag, and the reader's function identity are fixed for the whole
-        // access.
-        let frame = self.current_frame();
-        let thread = self.current_thread;
-        let owner = Owner::new(frame.ctx.0, frame.call, thread);
-        let reader_fn = self.cg.tree().node(frame.ctx).func;
-        if let Some(lines) = self.lines.as_mut() {
-            lines.record_access(access, at);
-        }
-        self.retire_pending(1);
-
-        // Consumer tallies accumulate locally and flush once per access;
-        // producer tallies flush once per segment of consecutive bytes
-        // sharing a last-writer context (overwhelmingly the whole access).
-        let mut local_unique = 0u64;
-        let mut local_nonunique = 0u64;
-        let mut input_unique = 0u64;
-        let mut input_nonunique = 0u64;
-        let mut inter_unique = 0u64;
-        let mut inter_nonunique = 0u64;
-        let mut producer_seg: Option<(ContextId, EdgeAccum)> = None;
-        // Producer-function resolution memoized on the producer context:
-        // consecutive bytes overwhelmingly share one last writer.
-        let mut producer_fn_memo: Option<(ContextId, Option<FunctionId>)> = None;
-        // Transfer segments (producer call, bytes), contiguous in byte
-        // order so `push_transfer` coalescing reproduces the per-byte
-        // event stream exactly.
-        let mut transfers: Vec<(CallNumber, u64)> = Vec::new();
-        let events_on = self.events.is_some();
-        // Phase-profile transfer segments (producer context, bytes) —
-        // kept apart from `transfers`: phases stay on when event
-        // recording is off, and bucket by producer *context*.
-        let mut phase_transfers: Vec<(ContextId, u64)> = Vec::new();
-        let phases_on = self.phases.is_some();
-
-        // `runs` holds a mutable borrow of `self.shadow`; the loop body
-        // may only touch the disjoint fields `self.cg` / `self.reuse` /
-        // `self.comm` / `self.edges` — anything needing `&mut self`
-        // (event emission, pending-op flush) is deferred past the loop.
-        let tree = self.cg.tree();
-        let mut runs = self.shadow.runs_mut(access.addr, access.len());
-        while let Some((_, slots)) = runs.next_run() {
-            for obj in slots {
-                let repeat = obj.is_repeat_read(owner);
-                let producer = obj.last_writer;
-
-                // Reuse accounting: a change of reader flushes the previous
-                // reader's record (lifetimes are per function call).
-                if let Some(reuse_vec) = self.reuse.as_mut() {
-                    if !repeat {
-                        if let Some(prev_reader) = obj.last_reader {
-                            let info = obj.reuse;
-                            Self::reuse_flush(reuse_vec, prev_reader, info);
-                            obj.reuse.reset();
-                        }
-                    }
-                    obj.reuse.record_read(at, !repeat);
-                }
-                obj.record_read(owner);
-
-                // Classification.
-                let (producer_ctx, producer_call) = match producer {
-                    Some(p) => (ContextId(p.ctx), p.call),
-                    // Never-written bytes are program input, attributed to
-                    // the synthetic root producer.
-                    None => (ContextId::ROOT, CallNumber::ROOT),
-                };
-                let producer_fn = match producer_fn_memo {
-                    Some((memo_ctx, func)) if memo_ctx == producer_ctx => func,
-                    _ => {
-                        let func = tree.node(producer_ctx).func;
-                        producer_fn_memo = Some((producer_ctx, func));
-                        func
-                    }
-                };
-                // A last writer on another guest thread makes the byte
-                // inter-thread input — disjoint from (and checked before)
-                // the local class, so a thread re-reading data a sibling
-                // wrote into "its own" function is still charged with the
-                // cross-thread transfer.
-                let is_inter = producer.is_some_and(|p| p.thread != thread);
-                let is_local = !is_inter && producer.is_some() && producer_fn == reader_fn;
-
-                match (is_inter, is_local, repeat) {
-                    (true, _, false) => inter_unique += 1,
-                    (true, _, true) => inter_nonunique += 1,
-                    (false, true, false) => local_unique += 1,
-                    (false, true, true) => local_nonunique += 1,
-                    (false, false, false) => input_unique += 1,
-                    (false, false, true) => input_nonunique += 1,
-                }
-                if !is_local {
-                    match &mut producer_seg {
-                        Some((seg_ctx, seg)) if *seg_ctx == producer_ctx => {
-                            if repeat {
-                                seg.nonunique += 1;
-                            } else {
-                                seg.unique += 1;
-                            }
-                        }
-                        seg_slot => {
-                            if let Some((prev_ctx, prev_seg)) = seg_slot.take() {
-                                Self::flush_producer(
-                                    &mut self.comm,
-                                    &mut self.edges,
-                                    prev_ctx,
-                                    frame.ctx,
-                                    prev_seg,
-                                );
-                            }
-                            let mut seg = EdgeAccum::default();
-                            if repeat {
-                                seg.nonunique += 1;
-                            } else {
-                                seg.unique += 1;
-                            }
-                            *seg_slot = Some((producer_ctx, seg));
-                        }
-                    }
-                }
-                // Event-file dependencies: any unique read of data produced
-                // by a *different dynamic call* orders the consumer after
-                // the producer — including a later call of the same
-                // function (classified *local* for the byte accounting
-                // above, but still a real dependency between the two call
-                // nodes of the Figure 3 construction).
-                if !repeat && producer.is_some() && producer_call != frame.call {
-                    if events_on {
-                        match transfers.last_mut() {
-                            Some((last_call, bytes)) if *last_call == producer_call => *bytes += 1,
-                            _ => transfers.push((producer_call, 1)),
-                        }
-                    }
-                    if phases_on {
-                        match phase_transfers.last_mut() {
-                            Some((last_ctx, bytes)) if *last_ctx == producer_ctx => *bytes += 1,
-                            _ => phase_transfers.push((producer_ctx, 1)),
-                        }
-                    }
-                }
-            }
-        }
-
-        if let Some((prev_ctx, prev_seg)) = producer_seg {
-            Self::flush_producer(
-                &mut self.comm,
-                &mut self.edges,
-                prev_ctx,
-                frame.ctx,
-                prev_seg,
-            );
-        }
-        let consumer_stats = Self::comm_entry(&mut self.comm, frame.ctx);
-        consumer_stats.bytes_read += u64::from(access.size);
-        consumer_stats.local_unique_bytes += local_unique;
-        consumer_stats.local_nonunique_bytes += local_nonunique;
-        consumer_stats.input_unique_bytes += input_unique;
-        consumer_stats.input_nonunique_bytes += input_nonunique;
-        consumer_stats.inter_thread_unique_bytes += inter_unique;
-        consumer_stats.inter_thread_nonunique_bytes += inter_nonunique;
-        if !transfers.is_empty() {
-            // Flush the consumer's pending ops first so they precede the
-            // transfers; subsequent per-byte flushes would push zero-op
-            // fragments, which `push_compute` drops, so one flush here is
-            // byte-identical to the old per-byte emission.
-            self.flush_pending();
-            if let Some(events) = self.events.as_mut() {
-                for (producer_call, bytes) in transfers {
-                    events.push_transfer(producer_call, frame.call, bytes);
-                }
-            }
-        }
-        if !phase_transfers.is_empty() {
-            // Bucketed at the post-tick clock: the event file flushes the
-            // read's own pending op before its transfer records, so the
-            // streaming fold sees these exact timestamps.
-            let builder = self.phases.as_mut().expect("phases on");
-            for (producer_ctx, bytes) in phase_transfers {
-                builder.record_transfer(producer_ctx, frame.ctx, self.phase_clock, bytes);
-            }
-        }
-    }
-
-    fn handle_write(&mut self, access: MemAccess, at: Timestamp) {
+    /// A shadow access. Whole-access work — line shadowing, `bytes_read`
+    /// / `bytes_written`, the access's own retired op — happens here;
+    /// the per-byte Table-I pass runs inline on the shadow table, or on
+    /// the shard workers per chunk run.
+    fn handle_access(&mut self, write: bool, access: MemAccess, at: Timestamp) {
         if access.is_empty() {
             return;
         }
         let frame = self.current_frame();
         let owner = Owner::new(frame.ctx.0, frame.call, self.current_thread);
-        if let Some(lines) = self.lines.as_mut() {
-            lines.record_access(access, at);
-        }
-        self.retire_pending(1);
-        self.comm_mut(frame.ctx).bytes_written += u64::from(access.size);
-        let mut runs = self.shadow.runs_mut(access.addr, access.len());
-        while let Some((_, slots)) = runs.next_run() {
-            for obj in slots {
-                if let Some(reuse_vec) = self.reuse.as_mut() {
-                    if let Some(prev_reader) = obj.last_reader {
-                        let info = obj.reuse;
-                        Self::reuse_flush(reuse_vec, prev_reader, info);
-                    }
-                }
-                obj.record_write(owner);
-            }
-        }
-    }
-
-    /// Sharded-mode event handling: globally-ordered state (contexts,
-    /// call numbers, the sequencing log) advances here on the dispatch
-    /// thread; per-byte work is routed to the shard workers.
-    fn on_event_sharded(&mut self, event: RuntimeEvent, at: Timestamp) {
-        match event {
-            RuntimeEvent::Call { .. } | RuntimeEvent::SyscallEnter { .. } => {
-                let ctx = self.cg.current_context();
-                self.call_counter = self.call_counter.next();
-                let call = self.call_counter;
-                let parent = self.current_frame();
-                if let Some(builder) = self.phases.as_mut() {
-                    // Same pre-tick tally as the serial path.
-                    builder.record_call(parent.ctx, ctx, self.phase_clock);
-                }
-                self.phase_clock += 1;
-                let engine = self.engine.as_mut().expect("sharded mode");
-                engine.sync_ctxs(self.cg.tree());
-                engine.log_call(call, ctx);
-                self.frames_mut().push(Frame {
-                    ctx,
-                    call,
-                    pending_ops: 0,
-                });
-            }
-            RuntimeEvent::Return | RuntimeEvent::SyscallExit => {
-                self.engine.as_mut().expect("sharded mode").log_return();
-                self.frames_mut().pop();
-            }
-            RuntimeEvent::Op { count, .. } => {
-                // The sequencer drops ops logged with no open frame, so
-                // the phase clock must drop them identically.
-                if self.frames().is_some_and(|f| !f.is_empty()) {
-                    self.phase_clock += u64::from(count);
-                }
-                let engine = self.engine.as_mut().expect("sharded mode");
-                engine.log_ops(u64::from(count));
-            }
-            RuntimeEvent::Branch { .. } => {
-                if self.frames().is_some_and(|f| !f.is_empty()) {
-                    self.phase_clock += 1;
-                }
-                self.engine.as_mut().expect("sharded mode").log_ops(1);
-            }
-            RuntimeEvent::Read { access } => self.dispatch_sharded(false, access, at),
-            RuntimeEvent::Write { access } => self.dispatch_sharded(true, access, at),
-            RuntimeEvent::ThreadSwitch { thread } => {
-                let engine = self.engine.as_mut().expect("sharded mode");
-                engine.log_switch(thread.as_raw());
-                self.current_thread = thread.as_raw();
-            }
-        }
-    }
-
-    /// Sharded-mode shadow access: whole-access tallies (`bytes_read` /
-    /// `bytes_written`, line shadowing) happen once here; the per-byte
-    /// classification is fanned out per chunk run.
-    fn dispatch_sharded(&mut self, write: bool, access: MemAccess, at: Timestamp) {
-        if access.is_empty() {
-            return;
-        }
-        let frame = self.current_frame();
-        if let Some(lines) = self.lines.as_mut() {
-            lines.record_access(access, at);
-        }
         let reader_fn = if write {
             None
         } else {
             self.cg.tree().node(frame.ctx).func
         };
+        if let Some(lines) = self.lines.as_mut() {
+            lines.record_access(access, at);
+        }
+        self.retire_pending(1);
+        let comm = self.tally.comm_mut(frame.ctx);
         if write {
-            self.comm_mut(frame.ctx).bytes_written += u64::from(access.size);
+            comm.bytes_written += u64::from(access.size);
         } else {
-            self.comm_mut(frame.ctx).bytes_read += u64::from(access.size);
+            comm.bytes_read += u64::from(access.size);
         }
-        // The access's own retired op ticks the phase clock exactly when
-        // the serial path's pending-op bump fires: with an open frame.
-        // (`log_ops` below is unconditional, but the sequencer drops ops
-        // on empty stacks — the clock must not count those.)
-        if self.frames().is_some_and(|f| !f.is_empty()) {
-            self.phase_clock += 1;
+
+        let tree = self.cg.tree();
+        if let Some(engine) = self.engine.as_mut() {
+            engine.sync_ctxs(tree);
+            if write {
+                // The write's own op; a read's is the sequencer's `Read`
+                // entry.
+                engine.log_ops(1);
+            }
+            engine.dispatch_access(
+                write,
+                access.addr,
+                access.len(),
+                frame.ctx,
+                frame.call,
+                self.current_thread,
+                reader_fn,
+                at,
+                self.phase_clock,
+            );
+            return;
         }
-        let engine = self.engine.as_mut().expect("sharded mode");
-        engine.sync_ctxs(self.cg.tree());
+        // `runs` borrows `self.shadow`: until it ends, only the disjoint
+        // fields `cg`, `tally` and `transfers` are reachable, so the
+        // pending-op flush and event emission come after the loop.
+        let mut runs = self.shadow.runs_mut(access.addr, access.len());
         if write {
-            // The write itself retires one op (the read's op is logged by
-            // the sequencer's `Read` entry).
-            engine.log_ops(1);
+            while let Some((_, slots)) = runs.next_run() {
+                self.tally.write(slots, owner);
+            }
+            return;
         }
-        engine.dispatch_access(
-            write,
-            access.addr,
-            access.len(),
-            frame.ctx,
-            frame.call,
-            self.current_thread,
-            reader_fn,
+        let reader = Reader {
+            owner,
+            func: reader_fn,
             at,
-            self.phase_clock,
-        );
+        };
+        self.transfers.clear();
+        while let Some((_, slots)) = runs.next_run() {
+            self.tally.read(
+                slots,
+                reader,
+                |ctx| tree.node(ctx).func,
+                &mut self.transfers,
+            );
+        }
+        if !self.transfers.calls.is_empty() {
+            // Flush the consumer's pending ops first so they precede the
+            // transfers; later flushes would push zero-op fragments,
+            // which `push_compute` drops.
+            self.flush_pending();
+            if let Some(events) = self.events.as_mut() {
+                for &(producer_call, bytes) in &self.transfers.calls {
+                    events.push_transfer(producer_call, frame.call, bytes);
+                }
+            }
+        }
+        if let Some(builder) = self.phases.as_mut() {
+            // Bucketed at the post-tick clock: the event file flushes the
+            // read's own pending op before its transfer records, so the
+            // streaming fold sees these exact timestamps.
+            for &(producer_ctx, bytes) in &self.transfers.ctxs {
+                builder.record_transfer(producer_ctx, frame.ctx, self.phase_clock, bytes);
+            }
+        }
     }
 
     /// Sharded-mode end of run: join the workers, fold their fragments
     /// through the commutative merge layer, and sequence the event file
     /// back into access order.
-    fn finish_sharded(&mut self, engine: ShardEngine) -> ProfileParts {
+    fn finish_sharded(&mut self, engine: ShardEngine) -> (ShardFragment, Option<EventFile>) {
         let shards = engine.shard_count();
         // Join first: with the oracle elided, the exact residency lives
         // in the workers' tables and is only authoritative post-join.
@@ -616,24 +352,14 @@ impl SigilProfiler {
             results,
             seq,
         } = engine.finish();
-        let mut memory = memory;
-        if let Some(lines) = &self.lines {
-            memory = memory.combined(lines.memory_stats());
-        }
-        memory.export_metrics("shadow");
 
-        // The dispatch thread's fragment: whole-access byte counts plus
-        // the serial-equivalent footprint; classification comes from the
-        // workers.
-        let mut merged = ShardFragment {
-            comm: std::mem::take(&mut self.comm),
-            edges: Vec::new(),
-            reuse: self.reuse.take(),
-            memory: MemoryStats::default(),
-            // The dispatch side tallied the calls; worker fragments fold
-            // their transfer buckets in through the monoid below.
-            phases: self.phases.take().map(PhaseBuilder::finish),
-        };
+        // The dispatch thread's fragment: whole-access byte counts, the
+        // calls of the phase profile and the serial-equivalent
+        // footprint; classification comes from the workers.
+        let mut merged = std::mem::take(&mut self.tally).into_fragment(
+            self.phases.take().map(PhaseBuilder::finish),
+            self.with_lines(memory),
+        );
         let mut transfers = crate::shard::TransferMap::new();
         let obs = sigil_obs::is_enabled();
         if obs {
@@ -690,14 +416,7 @@ impl SigilProfiler {
             .config
             .record_events
             .then(|| sequence_events(seq, &mut transfers));
-        (
-            memory,
-            merged.comm,
-            merged.edges,
-            merged.reuse,
-            events,
-            merged.phases,
-        )
+        (merged, events)
     }
 
     /// Consumes the profiler, pairing it with `symbols` into a [`Profile`].
@@ -709,41 +428,19 @@ impl SigilProfiler {
     /// shadow-table hot-path counters as `shadow.*` metrics.
     pub fn into_profile(mut self, symbols: SymbolTable) -> Profile {
         let shadow_span = sigil_obs::span("shadow");
-        let (memory, comm, edge_rows, reuse, events, phases) = match self.engine.take() {
+        let (fragment, events) = match self.engine.take() {
             Some(engine) => self.finish_sharded(engine),
             None => {
                 let memory = self.memory_stats();
-                memory.export_metrics("shadow");
-                // Flush outstanding reuse records (bytes still "live" at
-                // exit).
-                if let Some(reuse_vec) = self.reuse.as_mut() {
-                    for (_, obj) in self.shadow.iter() {
-                        if let Some(reader) = obj.last_reader {
-                            Self::reuse_flush(reuse_vec, reader, obj.reuse);
-                        }
-                    }
-                }
-                let mut edges: Vec<CommEdge> = self
-                    .edges
-                    .iter()
-                    .map(|(&(producer, consumer), accum)| CommEdge {
-                        producer,
-                        consumer,
-                        unique_bytes: accum.unique,
-                        nonunique_bytes: accum.nonunique,
-                    })
-                    .collect();
-                edges.sort_by_key(|e| (e.producer, e.consumer));
+                self.tally.flush_live_reuse(&self.shadow);
+                let phases = self.phases.take().map(PhaseBuilder::finish);
                 (
-                    memory,
-                    std::mem::take(&mut self.comm),
-                    edges,
-                    self.reuse.take(),
+                    std::mem::take(&mut self.tally).into_fragment(phases, memory),
                     self.events.take(),
-                    self.phases.take().map(PhaseBuilder::finish),
                 )
             }
         };
+        fragment.memory.export_metrics("shadow");
 
         let line_report = self.lines.as_ref().map(|lines| {
             let mut buckets = [0u64; 5];
@@ -761,7 +458,8 @@ impl SigilProfiler {
         drop(shadow_span);
         let _postprocess_span = sigil_obs::span("postprocess");
 
-        let mut contexts: Vec<ContextComm> = comm
+        let mut contexts: Vec<ContextComm> = fragment
+            .comm
             .iter()
             .enumerate()
             .map(|(i, comm)| ContextComm {
@@ -782,12 +480,12 @@ impl SigilProfiler {
         Profile {
             callgrind: self.cg.into_profile(symbols),
             contexts,
-            edges: edge_rows,
-            reuse,
+            edges: fragment.edges,
+            reuse: fragment.reuse,
             lines: line_report,
             events,
-            phases,
-            memory,
+            phases: fragment.phases,
+            memory: fragment.memory,
         }
     }
 }
@@ -796,21 +494,20 @@ impl ExecutionObserver for SigilProfiler {
     fn on_event(&mut self, event: RuntimeEvent) {
         let at = self.clock.tick(event);
         self.cg.on_event(event);
-        if self.engine.is_some() {
-            self.on_event_sharded(event, at);
-            return;
-        }
         match event {
             RuntimeEvent::Call { .. } | RuntimeEvent::SyscallEnter { .. } => self.handle_enter(),
             RuntimeEvent::Return | RuntimeEvent::SyscallExit => self.handle_leave(),
-            RuntimeEvent::Op { count, .. } => self.retire_pending(u64::from(count)),
-            RuntimeEvent::Branch { .. } => self.retire_pending(1),
-            RuntimeEvent::Read { access } => self.handle_read(access, at),
-            RuntimeEvent::Write { access } => self.handle_write(access, at),
+            RuntimeEvent::Op { count, .. } => self.retire_ops(u64::from(count)),
+            RuntimeEvent::Branch { .. } => self.retire_ops(1),
+            RuntimeEvent::Read { access } => self.handle_access(false, access, at),
+            RuntimeEvent::Write { access } => self.handle_access(true, access, at),
             RuntimeEvent::ThreadSwitch { thread } => {
                 // Close the outgoing thread's open fragment so its ops do
                 // not leak into the other thread's timeline.
                 self.flush_pending();
+                if let Some(engine) = self.engine.as_mut() {
+                    engine.log_switch(thread.as_raw());
+                }
                 self.current_thread = thread.as_raw();
             }
         }
@@ -823,17 +520,11 @@ impl ExecutionObserver for SigilProfiler {
         threads.sort_unstable();
         for thread in threads {
             self.current_thread = thread;
-            if self.engine.is_some() {
-                let engine = self.engine.as_mut().expect("sharded mode");
+            if let Some(engine) = self.engine.as_mut() {
                 engine.log_resume(thread);
-                while !self.frames_mut().is_empty() {
-                    self.engine.as_mut().expect("sharded mode").log_return();
-                    self.frames_mut().pop();
-                }
-            } else {
-                while !self.frames_mut().is_empty() {
-                    self.handle_leave();
-                }
+            }
+            while !self.frames_mut().is_empty() {
+                self.handle_leave();
             }
         }
         self.current_thread = 0;

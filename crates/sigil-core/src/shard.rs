@@ -67,10 +67,10 @@ use sigil_callgrind::{CallTree, ContextId};
 use sigil_mem::{chunk_key, chunk_run, MemoryStats, Owner, ShadowObject, ShadowTable, CHUNK_SLOTS};
 use sigil_trace::{Addr, CallNumber, FunctionId, Timestamp};
 
+use crate::classify::{Reader, Tally, Transfers};
 use crate::config::SigilConfig;
 use crate::events_out::EventFile;
 use crate::phase::{PhaseBuilder, PhaseProfile};
-use crate::profiler::{EdgeAccum, SigilProfiler};
 use crate::reuse::ContextReuse;
 use crate::stats::{CommEdge, CommStats};
 
@@ -186,8 +186,8 @@ enum ResolvedOp {
 /// Read-coalescing regime, fixed per engine by the feature set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ReadCoalesce {
-    /// No per-access metadata is consumed by `apply_read` (reuse,
-    /// events, and phases all off): any contiguous same-owner reads
+    /// No per-access metadata is consumed by a read (reuse, events,
+    /// and phases all off): any contiguous same-owner reads
     /// merge, including straddle parts.
     Free,
     /// Per-access metadata matters: only whole single-run accesses on
@@ -242,17 +242,13 @@ pub(crate) struct DispatchStats {
 
 /// What one worker hands back at join time.
 pub(crate) struct ShardResult {
-    pub(crate) comm: Vec<CommStats>,
-    pub(crate) edges: HashMap<(ContextId, ContextId), EdgeAccum>,
-    pub(crate) reuse: Option<Vec<ContextReuse>>,
+    pub(crate) tally: Tally,
     pub(crate) transfers: TransferMap,
     /// Phase-profile transfer buckets for this shard's bytes (phase
     /// collection only).
     pub(crate) phases: Option<PhaseBuilder>,
-    /// The worker table's own counters. With a dispatch oracle these
-    /// are observability-only; with the oracle elided the `resident_*`
-    /// fields are authoritative (the shards' disjoint chunk sets union
-    /// to the serial footprint).
+    /// The worker table's own counters (telemetry; the engine reads
+    /// residency from the workers' shared chunk counts).
     pub(crate) stats: MemoryStats,
     pub(crate) evictions_applied: u64,
     /// Nanoseconds this worker spent applying batches (telemetry).
@@ -356,25 +352,9 @@ pub fn merge_fragments(frags: impl IntoIterator<Item = ShardFragment>) -> ShardF
 
 impl ShardResult {
     pub(crate) fn into_fragment(self) -> (ShardFragment, TransferMap) {
-        let mut edges: Vec<CommEdge> = self
-            .edges
-            .into_iter()
-            .map(|((producer, consumer), accum)| CommEdge {
-                producer,
-                consumer,
-                unique_bytes: accum.unique,
-                nonunique_bytes: accum.nonunique,
-            })
-            .collect();
-        edges.sort_by_key(|e| (e.producer, e.consumer));
+        let phases = self.phases.map(PhaseBuilder::finish);
         (
-            ShardFragment {
-                comm: self.comm,
-                edges,
-                reuse: self.reuse,
-                phases: self.phases.map(PhaseBuilder::finish),
-                memory: MemoryStats::default(),
-            },
+            self.tally.into_fragment(phases, MemoryStats::default()),
             self.transfers,
         )
     }
@@ -390,13 +370,13 @@ impl ShardResult {
 /// shards map adjacent chunks to different shards), so a merged record
 /// still never straddles a chunk.
 ///
-/// Writes always merge: `apply_write` touches per-byte state through
-/// the owner alone, so splitting a write train at any boundary is
+/// Writes always merge: a write touches per-byte state through the
+/// owner alone, so splitting a write train at any boundary is
 /// unobservable. Reads merge freely when no per-access metadata is
 /// consumed ([`ReadCoalesce::Free`]); otherwise only whole single-run
 /// accesses on an exact index/timestamp/phase stride merge
 /// ([`ReadCoalesce::Strided`]), which is precisely the shape
-/// `apply_read` can split back losslessly.
+/// `apply_access` can split back losslessly.
 fn can_coalesce(mode: ReadCoalesce, prev: &AccessRecord, cand: &AccessRecord) -> bool {
     // The thread is part of the owner identity: root frames across
     // guest threads share `(ctx, call)`, so merging across a thread
@@ -441,9 +421,9 @@ pub(crate) struct ShardEngine {
     shards: usize,
     /// Zero-sized residency oracle: replays the exact serial run
     /// sequence, so its counters and its eviction log *are* the serial
-    /// table's. `None` when the shadow memory is unbounded (and the
-    /// legacy path isn't forced): no evictions can occur, so dispatch
-    /// elides the table and [`RouteStats`] reproduces its counters.
+    /// table's. `None` when the shadow memory is unbounded: no
+    /// evictions can occur, so dispatch elides the table and
+    /// [`RouteStats`] reproduces its counters.
     oracle: Option<ShadowTable<()>>,
     /// Counter mirror for the elided-oracle path.
     route: RouteStats,
@@ -466,7 +446,6 @@ pub(crate) struct ShardEngine {
     /// Per-access resolution scratch (evictions interleaved before the
     /// runs that triggered them, in serial order).
     scratch_ops: Vec<ResolvedOp>,
-    coalesce_on: bool,
     read_coalesce: ReadCoalesce,
     /// Accesses dispatched since the last epoch flush.
     epoch_accesses: u64,
@@ -499,15 +478,11 @@ impl std::fmt::Debug for ShardEngine {
 impl ShardEngine {
     pub(crate) fn new(config: &SigilConfig) -> Self {
         let shards = config.shards.max(2);
-        let oracle =
-            (config.shadow_chunk_limit.is_some() || config.force_dispatch_oracle).then(|| {
-                let mut oracle = match config.shadow_chunk_limit {
-                    Some(limit) => ShadowTable::with_chunk_limit(limit, config.eviction),
-                    None => ShadowTable::new(),
-                };
-                oracle.enable_eviction_log();
-                oracle
-            });
+        let oracle = config.shadow_chunk_limit.map(|limit| {
+            let mut oracle = ShadowTable::with_chunk_limit(limit, config.eviction);
+            oracle.enable_eviction_log();
+            oracle
+        });
         let read_coalesce =
             if config.reuse_mode || config.record_events || config.phase_bucket_ops.is_some() {
                 ReadCoalesce::Strided
@@ -556,7 +531,6 @@ impl ShardEngine {
             events_on,
             seq: Vec::new(),
             scratch_ops: Vec::new(),
-            coalesce_on: !config.no_dispatch_coalesce,
             read_coalesce,
             epoch_accesses: 0,
             dispatch: DispatchStats::default(),
@@ -598,7 +572,7 @@ impl ShardEngine {
     /// Stages one resolved run, extending the shard's open coalescing
     /// train when legal.
     fn stage_access(&mut self, shard: usize, rec: AccessRecord) {
-        if self.coalesce_on && self.staging_open[shard] {
+        if self.staging_open[shard] {
             if let Some(ShardMsg::Access(prev)) = self.batches[shard].last_mut() {
                 if can_coalesce(self.read_coalesce, prev, &rec) {
                     prev.len += rec.len;
@@ -869,28 +843,21 @@ impl ShardEngine {
     /// table's slot size) and are exact at any time. With the oracle
     /// elided the access counters ([`RouteStats`]) are exact, and the
     /// residency comes from the workers' per-batch snapshots — lagging
-    /// in-flight batches mid-run, exact after [`ShardEngine::finish`]
-    /// (which recomputes it from the joined workers' tables).
+    /// in-flight batches mid-run, exact once [`ShardEngine::finish`] has
+    /// joined the workers (each stores its final count after its last
+    /// batch).
     pub(crate) fn memory_stats(&self) -> MemoryStats {
-        match &self.oracle {
-            Some(oracle) => {
-                let mut stats = oracle.stats();
-                stats.resident_bytes =
-                    stats.resident_slots * std::mem::size_of::<ShadowObject>() as u64;
-                stats
-            }
-            None => {
-                let chunks: u64 = self
-                    .resident_chunks
-                    .iter()
-                    .map(|c| c.load(Ordering::Relaxed))
-                    .sum();
-                self.elided_stats(chunks)
-            }
+        if let Some(oracle) = &self.oracle {
+            let mut stats = oracle.stats();
+            stats.resident_bytes =
+                stats.resident_slots * std::mem::size_of::<ShadowObject>() as u64;
+            return stats;
         }
-    }
-
-    fn elided_stats(&self, resident_chunks: u64) -> MemoryStats {
+        let resident_chunks: u64 = self
+            .resident_chunks
+            .iter()
+            .map(|c| c.load(Ordering::Relaxed))
+            .sum();
         MemoryStats {
             resident_chunks,
             resident_slots: resident_chunks * CHUNK_SLOTS as u64,
@@ -930,23 +897,10 @@ impl ShardEngine {
                 }
             })
             .collect();
-        let memory = match &self.oracle {
-            Some(oracle) => {
-                let mut stats = oracle.stats();
-                stats.resident_bytes =
-                    stats.resident_slots * std::mem::size_of::<ShadowObject>() as u64;
-                stats
-            }
-            None => {
-                // The shards own disjoint chunk sets whose union is the
-                // serial footprint; the workers' own tables (T =
-                // ShadowObject) price bytes exactly like serial replay.
-                let chunks: u64 = results.iter().map(|r| r.stats.resident_chunks).sum();
-                self.elided_stats(chunks)
-            }
-        };
         ShardFinish {
-            memory,
+            // Post-join, so exact: without an oracle the shards own
+            // disjoint chunk sets whose union is the serial footprint.
+            memory: self.memory_stats(),
             dispatch: self.dispatch,
             results,
             seq: std::mem::take(&mut self.seq),
@@ -972,14 +926,13 @@ struct WorkerSpec {
 /// Per-worker replay state.
 struct WorkerState {
     table: ShadowTable<ShadowObject>,
-    comm: Vec<CommStats>,
-    edges: HashMap<(ContextId, ContextId), EdgeAccum>,
-    reuse: Option<Vec<ContextReuse>>,
+    tally: Tally,
     /// Context → function map, filled by `CtxDefs` broadcasts.
     ctx_funcs: Vec<Option<FunctionId>>,
+    /// Per-sub-access transfer scratch.
+    scratch: Transfers,
     transfers: TransferMap,
     phases: Option<PhaseBuilder>,
-    events_on: bool,
     evictions_applied: u64,
 }
 
@@ -987,13 +940,11 @@ fn shard_worker(spec: WorkerSpec, rx: Receiver<Vec<ShardMsg>>) -> ShardResult {
     let _span = sigil_obs::span_with(|| format!("shard-worker-{}", spec.shard));
     let mut state = WorkerState {
         table: ShadowTable::new(),
-        comm: Vec::new(),
-        edges: HashMap::new(),
-        reuse: spec.reuse_mode.then(Vec::new),
+        tally: Tally::new(spec.reuse_mode),
         ctx_funcs: Vec::new(),
+        scratch: Transfers::new(spec.events_on, spec.phase_bucket_ops.is_some()),
         transfers: TransferMap::new(),
         phases: spec.phase_bucket_ops.map(PhaseBuilder::new),
-        events_on: spec.events_on,
         evictions_applied: 0,
     };
     let mut busy_ns = 0u64;
@@ -1012,29 +963,17 @@ fn shard_worker(spec: WorkerSpec, rx: Receiver<Vec<ShardMsg>>) -> ShardResult {
                     debug_assert!(evicted, "mirrored victim must be resident");
                     state.evictions_applied += u64::from(evicted);
                 }
-                ShardMsg::Access(rec) if rec.write => apply_write(&mut state, rec),
-                ShardMsg::Access(rec) => apply_read(&mut state, rec),
+                ShardMsg::Access(rec) => apply_access(&mut state, rec),
             }
         }
         spec.resident_chunks
             .store(state.table.chunk_count() as u64, Ordering::Relaxed);
         busy_ns += u64::try_from(work.elapsed().as_nanos()).unwrap_or(u64::MAX);
     }
-    // Flush outstanding reuse records (bytes still "live" at exit) —
-    // the shard owns exactly its bytes, so the union over shards equals
-    // the serial table walk.
-    if let Some(reuse_vec) = state.reuse.as_mut() {
-        for (_, obj) in state.table.iter() {
-            if let Some(reader) = obj.last_reader {
-                SigilProfiler::reuse_flush(reuse_vec, reader, obj.reuse);
-            }
-        }
-    }
+    state.tally.flush_live_reuse(&state.table);
     ShardResult {
         stats: state.table.stats(),
-        comm: state.comm,
-        edges: state.edges,
-        reuse: state.reuse,
+        tally: state.tally,
         transfers: state.transfers,
         phases: state.phases,
         evictions_applied: state.evictions_applied,
@@ -1043,22 +982,27 @@ fn shard_worker(spec: WorkerSpec, rx: Receiver<Vec<ShardMsg>>) -> ShardResult {
     }
 }
 
-/// One read record: splits a coalesced train back into its sub-accesses
-/// and replays each through the serial `handle_read` per-byte loop.
-fn apply_read(state: &mut WorkerState, rec: AccessRecord) {
+/// Replays one record through the Table-I kernel. A write train replays
+/// as one run — every byte sees the same owner, so sub-access boundaries
+/// are unobservable. A read train splits back into its sub-accesses,
+/// each with its own index, timestamp and phase stamp.
+fn apply_access(state: &mut WorkerState, rec: AccessRecord) {
     let WorkerState {
         table,
-        comm,
-        edges,
-        reuse,
+        tally,
         ctx_funcs,
+        scratch,
         transfers,
         phases,
-        events_on,
         ..
     } = state;
+    let owner = Owner::new(rec.ctx.0, rec.call, rec.thread);
     let (slots, consumed) = table.run_mut(rec.addr, rec.len as usize);
     debug_assert_eq!(consumed, rec.len as usize, "records never straddle chunks");
+    if rec.write {
+        tally.write(slots, owner);
+        return;
+    }
     // Strided trains carry `count` whole accesses of `sub_len` bytes
     // each; everything else (plain runs, straddle parts, free-mode
     // trains) replays as one pass — free-mode records consume none of
@@ -1068,184 +1012,25 @@ fn apply_read(state: &mut WorkerState, rec: AccessRecord) {
     } else {
         rec.len as usize
     };
-    // The producer-function memo is a pure cache over `ctx_funcs`, so
-    // it can persist across sub-access boundaries.
-    let mut producer_fn_memo: Option<(ContextId, Option<FunctionId>)> = None;
-    for (k, sub_slots) in slots.chunks_mut(sub_len).enumerate() {
-        let k = k as u64;
-        let sub = AccessRecord {
-            idx: rec.idx + k,
+    for (k, sub_slots) in (0u64..).zip(slots.chunks_mut(sub_len)) {
+        let reader = Reader {
+            owner,
+            func: rec.reader_fn,
             at: rec.at.advance(k),
-            phase_at: rec.phase_at + k,
-            ..rec
         };
-        read_sub_access(
-            sub_slots,
-            &sub,
-            comm,
-            edges,
-            reuse,
-            ctx_funcs,
-            transfers,
-            phases,
-            *events_on,
-            &mut producer_fn_memo,
-        );
-    }
-}
-
-/// One read sub-access: the serial `handle_read` per-byte loop, with
-/// producer functions resolved from the broadcast context map.
-#[allow(clippy::too_many_arguments)] // flattened WorkerState fields
-fn read_sub_access(
-    slots: &mut [ShadowObject],
-    rec: &AccessRecord,
-    comm: &mut Vec<CommStats>,
-    edges: &mut HashMap<(ContextId, ContextId), EdgeAccum>,
-    reuse: &mut Option<Vec<ContextReuse>>,
-    ctx_funcs: &[Option<FunctionId>],
-    all_transfers: &mut TransferMap,
-    phases: &mut Option<PhaseBuilder>,
-    events_on: bool,
-    producer_fn_memo: &mut Option<(ContextId, Option<FunctionId>)>,
-) {
-    let owner = Owner::new(rec.ctx.0, rec.call, rec.thread);
-    let mut local_unique = 0u64;
-    let mut local_nonunique = 0u64;
-    let mut input_unique = 0u64;
-    let mut input_nonunique = 0u64;
-    let mut inter_unique = 0u64;
-    let mut inter_nonunique = 0u64;
-    let mut producer_seg: Option<(ContextId, EdgeAccum)> = None;
-    let mut transfers: Vec<(CallNumber, u64)> = Vec::new();
-    // Phase-profile transfer segments, mirroring the serial path's
-    // producer-context accumulation (see `SigilProfiler::handle_read`).
-    let mut phase_transfers: Vec<(ContextId, u64)> = Vec::new();
-    let phases_on = phases.is_some();
-
-    for obj in slots {
-        let repeat = obj.is_repeat_read(owner);
-        let producer = obj.last_writer;
-
-        if let Some(reuse_vec) = reuse.as_mut() {
-            if !repeat {
-                if let Some(prev_reader) = obj.last_reader {
-                    let info = obj.reuse;
-                    SigilProfiler::reuse_flush(reuse_vec, prev_reader, info);
-                    obj.reuse.reset();
-                }
-            }
-            obj.reuse.record_read(rec.at, !repeat);
+        scratch.clear();
+        tally.read(sub_slots, reader, |ctx| ctx_funcs[ctx.index()], scratch);
+        if !scratch.calls.is_empty() {
+            transfers
+                .entry(rec.idx + k)
+                .or_default()
+                .push((rec.part, std::mem::take(&mut scratch.calls)));
         }
-        obj.record_read(owner);
-
-        let (producer_ctx, producer_call) = match producer {
-            Some(p) => (ContextId(p.ctx), p.call),
-            None => (ContextId::ROOT, CallNumber::ROOT),
-        };
-        let producer_fn = match *producer_fn_memo {
-            Some((memo_ctx, func)) if memo_ctx == producer_ctx => func,
-            _ => {
-                let func = ctx_funcs[producer_ctx.index()];
-                *producer_fn_memo = Some((producer_ctx, func));
-                func
-            }
-        };
-        // Same rule as the serial path: a last writer on another guest
-        // thread is inter-thread input, disjoint from (and checked
-        // before) the local class.
-        let is_inter = producer.is_some_and(|p| p.thread != rec.thread);
-        let is_local = !is_inter && producer.is_some() && producer_fn == rec.reader_fn;
-
-        match (is_inter, is_local, repeat) {
-            (true, _, false) => inter_unique += 1,
-            (true, _, true) => inter_nonunique += 1,
-            (false, true, false) => local_unique += 1,
-            (false, true, true) => local_nonunique += 1,
-            (false, false, false) => input_unique += 1,
-            (false, false, true) => input_nonunique += 1,
-        }
-        if !is_local {
-            match &mut producer_seg {
-                Some((seg_ctx, seg)) if *seg_ctx == producer_ctx => {
-                    if repeat {
-                        seg.nonunique += 1;
-                    } else {
-                        seg.unique += 1;
-                    }
-                }
-                seg_slot => {
-                    if let Some((prev_ctx, prev_seg)) = seg_slot.take() {
-                        SigilProfiler::flush_producer(comm, edges, prev_ctx, rec.ctx, prev_seg);
-                    }
-                    let mut seg = EdgeAccum::default();
-                    if repeat {
-                        seg.nonunique += 1;
-                    } else {
-                        seg.unique += 1;
-                    }
-                    *seg_slot = Some((producer_ctx, seg));
-                }
+        if let Some(builder) = phases.as_mut() {
+            for &(producer_ctx, bytes) in &scratch.ctxs {
+                builder.record_transfer(producer_ctx, rec.ctx, rec.phase_at + k, bytes);
             }
         }
-        if !repeat && producer.is_some() && producer_call != rec.call {
-            if events_on {
-                match transfers.last_mut() {
-                    Some((last_call, bytes)) if *last_call == producer_call => *bytes += 1,
-                    _ => transfers.push((producer_call, 1)),
-                }
-            }
-            if phases_on {
-                match phase_transfers.last_mut() {
-                    Some((last_ctx, bytes)) if *last_ctx == producer_ctx => *bytes += 1,
-                    _ => phase_transfers.push((producer_ctx, 1)),
-                }
-            }
-        }
-    }
-
-    if let Some((prev_ctx, prev_seg)) = producer_seg {
-        SigilProfiler::flush_producer(comm, edges, prev_ctx, rec.ctx, prev_seg);
-    }
-    // `bytes_read` is tallied once per access on the dispatch thread;
-    // the worker only contributes the per-byte classification.
-    let consumer_stats = SigilProfiler::comm_entry(comm, rec.ctx);
-    consumer_stats.local_unique_bytes += local_unique;
-    consumer_stats.local_nonunique_bytes += local_nonunique;
-    consumer_stats.input_unique_bytes += input_unique;
-    consumer_stats.input_nonunique_bytes += input_nonunique;
-    consumer_stats.inter_thread_unique_bytes += inter_unique;
-    consumer_stats.inter_thread_nonunique_bytes += inter_nonunique;
-    if !transfers.is_empty() {
-        all_transfers
-            .entry(rec.idx)
-            .or_default()
-            .push((rec.part, transfers));
-    }
-    if !phase_transfers.is_empty() {
-        let builder = phases.as_mut().expect("phases on");
-        for (producer_ctx, bytes) in phase_transfers {
-            builder.record_transfer(producer_ctx, rec.ctx, rec.phase_at, bytes);
-        }
-    }
-}
-
-/// One write record: the serial `handle_write` per-byte loop
-/// (`bytes_written` is tallied on the dispatch thread). A coalesced
-/// write train replays as one run — every byte sees the same owner, so
-/// sub-access boundaries are unobservable.
-fn apply_write(state: &mut WorkerState, rec: AccessRecord) {
-    let owner = Owner::new(rec.ctx.0, rec.call, rec.thread);
-    let (slots, consumed) = state.table.run_mut(rec.addr, rec.len as usize);
-    debug_assert_eq!(consumed, rec.len as usize, "records never straddle chunks");
-    for obj in slots {
-        if let Some(reuse_vec) = state.reuse.as_mut() {
-            if let Some(prev_reader) = obj.last_reader {
-                let info = obj.reuse;
-                SigilProfiler::reuse_flush(reuse_vec, prev_reader, info);
-            }
-        }
-        obj.record_write(owner);
     }
 }
 
@@ -1320,10 +1105,9 @@ mod tests {
     use super::*;
 
     fn frag(ctx_reads: &[(usize, u64)], edges: &[(u32, u32, u64)]) -> ShardFragment {
-        let mut comm = Vec::new();
+        let mut comm = vec![CommStats::default(); 4];
         for &(idx, bytes) in ctx_reads {
-            let stats = SigilProfiler::comm_entry(&mut comm, ContextId(idx as u32));
-            stats.input_unique_bytes += bytes;
+            comm[idx].input_unique_bytes += bytes;
         }
         let mut edge_rows: Vec<CommEdge> = edges
             .iter()
@@ -1582,8 +1366,6 @@ mod tests {
     fn engine_elides_the_oracle_exactly_when_unbounded() {
         let unbounded = SigilConfig::default().with_shards(2);
         assert!(ShardEngine::new(&unbounded).oracle_elided());
-        let forced = unbounded.with_forced_dispatch_oracle();
-        assert!(!ShardEngine::new(&forced).oracle_elided());
         let limited = SigilConfig::default().with_shards(2).with_shadow_limit(4);
         assert!(!ShardEngine::new(&limited).oracle_elided());
     }

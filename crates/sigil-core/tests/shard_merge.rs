@@ -8,8 +8,9 @@
 //!    the join order of shard workers can never leak into a profile.
 //! 2. **The twin profilers agree** — replaying one random event stream
 //!    through a serial and a sharded [`SigilProfiler`] produces
-//!    byte-identical profiles, under tiny FIFO/LRU shadow limits and
-//!    with accesses that straddle chunk (hence shard) boundaries.
+//!    byte-identical profiles, unbounded and under tiny FIFO/LRU shadow
+//!    limits, in both read-coalescing regimes, and with accesses that
+//!    straddle chunk (hence shard) boundaries.
 
 use proptest::prelude::*;
 use sigil_callgrind::ContextId;
@@ -259,92 +260,33 @@ fn arb_limit() -> impl Strategy<Value = Option<usize>> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(144))]
 
     /// The sharded profiler is byte-identical to the serial one on
-    /// random traces, across shard counts, tiny shadow limits, and both
-    /// eviction policies, with reuse + line + event collection all on.
+    /// random traces, across shard counts, unbounded and tiny shadow
+    /// limits, and both eviction policies. The addresses straddle chunk
+    /// boundaries. With `per_access_metadata` (reuse, events and phases
+    /// on) reads coalesce only in strided trains that workers must
+    /// split back losslessly; without it they coalesce freely, straddle
+    /// parts and repeated reads included.
     #[test]
     fn sharded_profiler_matches_serial(
         steps in proptest::collection::vec(arb_step(), 0..60),
         shards in 2usize..9,
-        limit in 1usize..4,
+        limit in arb_limit(),
         lru in any::<bool>(),
+        per_access_metadata in any::<bool>(),
     ) {
         let policy = if lru { EvictionPolicy::Lru } else { EvictionPolicy::Fifo };
-        let config = SigilConfig::default()
-            .with_reuse_mode()
-            .with_line_mode(64)
-            .with_events()
-            .with_phases(7)
-            .with_shadow_limit(limit)
-            .with_eviction(policy);
+        let mut config = SigilConfig::default().with_line_mode(64).with_eviction(policy);
+        if per_access_metadata {
+            config = config.with_reuse_mode().with_events().with_phases(7);
+        }
+        if let Some(limit) = limit {
+            config = config.with_shadow_limit(limit);
+        }
         let serial = replay(&steps, config);
         let sharded = replay(&steps, config.with_shards(shards));
         prop_assert_eq!(serial, sharded);
-    }
-
-    /// Pipelined dispatch (run coalescing; oracle elided when
-    /// unbounded) is byte-identical to the pinned legacy path (one
-    /// record per run, forced dispatch oracle) and to serial replay —
-    /// under FIFO/LRU limits with mid-access evictions, and unbounded
-    /// where the elided path actually takes over. The generated
-    /// addresses straddle chunk boundaries, and every feature
-    /// consuming per-access metadata is on, so strided trains must
-    /// split back losslessly.
-    #[test]
-    fn pipelined_dispatch_matches_legacy_dispatch(
-        steps in proptest::collection::vec(arb_step(), 0..60),
-        shards in 2usize..9,
-        limit in arb_limit(),
-        lru in any::<bool>(),
-    ) {
-        let policy = if lru { EvictionPolicy::Lru } else { EvictionPolicy::Fifo };
-        let mut config = SigilConfig::default()
-            .with_reuse_mode()
-            .with_line_mode(64)
-            .with_events()
-            .with_phases(7)
-            .with_eviction(policy);
-        if let Some(limit) = limit {
-            config = config.with_shadow_limit(limit);
-        }
-        let serial = replay(&steps, config);
-        let pipelined = replay(&steps, config.with_shards(shards));
-        let legacy = replay(
-            &steps,
-            config
-                .with_shards(shards)
-                .with_forced_dispatch_oracle()
-                .without_dispatch_coalescing(),
-        );
-        prop_assert_eq!(&pipelined, &legacy);
-        prop_assert_eq!(&pipelined, &serial);
-    }
-
-    /// Same equivalence in baseline mode, where reads coalesce *freely*
-    /// (no reuse/events/phases metadata to reconstruct) — straddle
-    /// parts and repeated reads may merge into long trains.
-    #[test]
-    fn free_read_coalescing_matches_legacy_dispatch(
-        steps in proptest::collection::vec(arb_step(), 0..60),
-        shards in 2usize..9,
-        limit in arb_limit(),
-    ) {
-        let mut config = SigilConfig::default().with_line_mode(64);
-        if let Some(limit) = limit {
-            config = config.with_shadow_limit(limit);
-        }
-        let serial = replay(&steps, config);
-        let pipelined = replay(&steps, config.with_shards(shards));
-        let legacy = replay(
-            &steps,
-            config
-                .with_shards(shards)
-                .with_forced_dispatch_oracle()
-                .without_dispatch_coalescing(),
-        );
-        prop_assert_eq!(&pipelined, &legacy);
-        prop_assert_eq!(&pipelined, &serial);
     }
 }

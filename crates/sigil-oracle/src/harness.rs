@@ -110,29 +110,16 @@ pub const SHARD_AXIS: [usize; 4] = [1, 2, 4, 8];
 /// covered) plus a seed-derived *constrained* shadow-table limit and
 /// eviction policy, so chunk-eviction paths are differentially covered —
 /// each crossed with [`SHARD_AXIS`] so sharded replay is held to the
-/// same reports as serial. `limit_override` pins the constrained limit
-/// and `shards_override` pins the shard count (used by CI's seed ×
-/// limit × shards matrix).
+/// same reports as serial. Every sharded shard count also replays the
+/// plain default configuration (what `sigil profile --shards N` runs):
+/// with no per-access metadata to reconstruct, its reads take the free
+/// coalescing path. `limit_override` pins the constrained limit and
+/// `shards_override` pins the shard count (used by CI's seed × limit ×
+/// shards matrix).
 pub fn differential_configs(
     seed: u64,
     limit_override: Option<usize>,
     shards_override: Option<usize>,
-) -> Vec<(String, SigilConfig)> {
-    differential_configs_filtered(seed, limit_override, shards_override, false)
-}
-
-/// [`differential_configs`] with an optional restriction to the
-/// unbounded (oracle-elided) axis. Sharded unbounded entries come in
-/// two dispatch flavours: the default pipelined path (oracle elided,
-/// runs coalesced) and the pinned legacy path (forced dispatch oracle,
-/// one record per run) — both must project to the identical report, so
-/// the pipelined dispatch is differentially held to its predecessor on
-/// every seed.
-pub fn differential_configs_filtered(
-    seed: u64,
-    limit_override: Option<usize>,
-    shards_override: Option<usize>,
-    unbounded_only: bool,
 ) -> Vec<(String, SigilConfig)> {
     let base = SigilConfig::default().with_reuse_mode().with_line_mode(64);
     let limit = limit_override.unwrap_or(1 + (seed % 3) as usize);
@@ -141,13 +128,13 @@ pub fn differential_configs_filtered(
     } else {
         EvictionPolicy::Lru
     };
-    let mut bases = vec![("unbounded".to_owned(), base)];
-    if !unbounded_only {
-        bases.push((
+    let bases = [
+        ("unbounded".to_owned(), base),
+        (
             format!("limit={limit} policy={policy:?}"),
             base.with_shadow_limit(limit).with_eviction(policy),
-        ));
-    }
+        ),
+    ];
     let shard_axis: &[usize] = match &shards_override {
         Some(n) => std::slice::from_ref(n),
         None => &SHARD_AXIS,
@@ -170,10 +157,8 @@ pub fn differential_configs_filtered(
                 .collect();
             if shards > 1 {
                 configs.push((
-                    format!("unbounded legacy-dispatch shards={shards}"),
-                    base.with_shards(shards)
-                        .with_forced_dispatch_oracle()
-                        .without_dispatch_coalescing(),
+                    format!("default shards={shards}"),
+                    SigilConfig::default().with_shards(shards),
                 ));
             }
             configs
@@ -206,25 +191,14 @@ pub fn diff_seed(
     limit_override: Option<usize>,
     shards_override: Option<usize>,
 ) -> Vec<ConfigFailure> {
-    diff_seed_filtered(seed, limit_override, shards_override, false)
+    diff_seed_mt(seed, 1, limit_override, shards_override)
 }
 
-/// [`diff_seed`] restricted to [`differential_configs_filtered`]'s
-/// matrix (the `--unbounded` CLI axis).
-pub fn diff_seed_filtered(
-    seed: u64,
-    limit_override: Option<usize>,
-    shards_override: Option<usize>,
-    unbounded_only: bool,
-) -> Vec<ConfigFailure> {
-    diff_seed_mt(seed, 1, limit_override, shards_override, unbounded_only)
-}
-
-/// [`diff_seed_filtered`] with a guest-thread axis: the seed's program
-/// is generated with `threads` guest threads (`1` = the classic
-/// single-threaded program, bit-identical to [`diff_seed_filtered`]),
-/// recorded once under the generator-committed interleaving, and held
-/// to the same configuration matrix — so cross-thread classification is
+/// [`diff_seed`] with a guest-thread axis: the seed's program is
+/// generated with `threads` guest threads (`1` = the classic
+/// single-threaded program, bit-identical to [`diff_seed`]), recorded
+/// once under the generator-committed interleaving, and held to the
+/// same configuration matrix — so cross-thread classification is
 /// differentially verified against the oracle across every shard count
 /// and eviction limit.
 pub fn diff_seed_mt(
@@ -232,11 +206,10 @@ pub fn diff_seed_mt(
     threads: u32,
     limit_override: Option<usize>,
     shards_override: Option<usize>,
-    unbounded_only: bool,
 ) -> Vec<ConfigFailure> {
     let program = GenProgram::generate_mt(seed, threads);
     let bundle = record_program(&program);
-    differential_configs_filtered(seed, limit_override, shards_override, unbounded_only)
+    differential_configs(seed, limit_override, shards_override)
         .into_iter()
         .filter_map(|(label, config)| {
             let divergences = compare(&bundle, config, None);

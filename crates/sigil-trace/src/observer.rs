@@ -21,10 +21,10 @@ pub trait ExecutionObserver {
 
 /// An observer that discards every event.
 ///
-/// Running a workload against `NullObserver` is this reproduction's
-/// equivalent of a *native* (uninstrumented) run: the workload performs all
-/// of its event-generating work but no profiling happens. Figure 4's
-/// slowdown baselines are measured this way.
+/// Its `on_event` inlines to nothing, so the optimizer may fold away a
+/// workload generator driven into it: it is no timing baseline. Figure 4's
+/// native arm counts events behind a call that is never inlined instead
+/// (`sigil_bench::NativeFloor`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NullObserver;
 

@@ -10,8 +10,6 @@
 //! - `SIGIL_DIFF_LIMIT`     — pin the constrained shadow-chunk limit
 //! - `SIGIL_DIFF_SHARDS`    — pin the shard count (default: the full
 //!   `SHARD_AXIS`, i.e. serial plus 2/4/8-way sharded replay)
-//! - `SIGIL_DIFF_UNBOUNDED` — set to `1` to restrict the matrix to the
-//!   no-limit axis (oracle-elided and pinned legacy dispatch)
 //! - `SIGIL_DIFF_THREADS`   — pin the guest-thread count for
 //!   `random_programs_conform` (default 1; CI's thread-axis job sets 2
 //!   and 4). `multithreaded_programs_conform` always sweeps {2, 4}.
@@ -45,7 +43,8 @@ fn env_usize(name: &str) -> Option<usize> {
 /// Seeded random programs produce identical reports from the production
 /// profiler and the oracle, under both the unbounded and the
 /// seed-constrained shadow-table configurations, each replayed serially
-/// and through 2/4/8-way sharding.
+/// and through 2/4/8-way sharding, plus the plain default configuration
+/// at each sharded count.
 #[test]
 fn random_programs_conform() {
     let default_seeds = if cfg!(debug_assertions) { 40 } else { 200 };
@@ -53,10 +52,9 @@ fn random_programs_conform() {
     let base = env_u64("SIGIL_DIFF_SEED_BASE", 0);
     let limit = env_usize("SIGIL_DIFF_LIMIT");
     let shards = env_usize("SIGIL_DIFF_SHARDS");
-    let unbounded = env_u64("SIGIL_DIFF_UNBOUNDED", 0) != 0;
     let threads = u32::try_from(env_u64("SIGIL_DIFF_THREADS", 1)).expect("sane thread count");
     for seed in base..base + seeds {
-        let failures = harness::diff_seed_mt(seed, threads, limit, shards, unbounded);
+        let failures = harness::diff_seed_mt(seed, threads, limit, shards);
         if let Some(failure) = failures.first() {
             let minimized = shrink(
                 &GenProgram::generate_mt(seed, threads),
@@ -87,7 +85,7 @@ fn multithreaded_programs_conform() {
     let shards = env_usize("SIGIL_DIFF_SHARDS");
     for seed in base..base + seeds {
         for threads in [2u32, 4] {
-            let failures = harness::diff_seed_mt(seed, threads, limit, shards, false);
+            let failures = harness::diff_seed_mt(seed, threads, limit, shards);
             if let Some(failure) = failures.first() {
                 let minimized = shrink(
                     &GenProgram::generate_mt(seed, threads),

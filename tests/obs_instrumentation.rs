@@ -227,7 +227,7 @@ fn concurrent_writers_keep_snapshots_well_formed() {
 
 #[test]
 fn sweep_entries_surface_memory_stats() {
-    // No obs globals involved: SweepEntry.memory is plain data.
+    let _lock = obs_lock();
     let names = vec![
         ("blackscholes".to_string(), "simsmall".to_string()),
         ("streamcluster".to_string(), "simsmall".to_string()),
