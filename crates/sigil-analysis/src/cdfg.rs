@@ -7,6 +7,8 @@ use sigil_callgrind::{ContextId, CostVec};
 use sigil_core::{CommEdge, CommStats, Profile};
 use sigil_trace::FunctionId;
 
+use crate::merge::Forest;
+
 /// One CDFG node: a function context with its exclusive costs and
 /// communication totals.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -50,10 +52,13 @@ pub struct CdfgNode {
 /// assert_eq!(cdfg.data_edges().len(), 1);
 /// assert_eq!(cdfg.data_edges()[0].unique_bytes, 8);
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Cdfg {
     nodes: Vec<CdfgNode>,
     data_edges: Vec<CommEdge>,
+    /// The calltree over raw context ids, for merging and trimming.
+    #[serde(skip)]
+    forest: Forest,
 }
 
 impl Cdfg {
@@ -83,10 +88,17 @@ impl Cdfg {
                 comm: profile.context_comm(ctx),
                 is_syscall: node.is_syscall,
             })
-            .collect();
+            .collect::<Vec<_>>();
+        let forest = Forest::new(
+            nodes
+                .iter()
+                .map(|node| node.children.iter().map(|c| c.index()).collect())
+                .collect(),
+        );
         Cdfg {
             nodes,
             data_edges: profile.edges.clone(),
+            forest,
         }
     }
 
@@ -144,15 +156,8 @@ impl Cdfg {
         false
     }
 
-    /// Depth of `ctx` (root = 0).
-    pub fn depth(&self, ctx: ContextId) -> usize {
-        let mut depth = 0;
-        let mut cursor = self.node(ctx).parent;
-        while let Some(c) = cursor {
-            depth += 1;
-            cursor = self.node(c).parent;
-        }
-        depth
+    pub(crate) fn forest(&self) -> &Forest {
+        &self.forest
     }
 }
 
@@ -209,8 +214,6 @@ mod tests {
         let b = cdfg.nodes().iter().find(|n| n.name == "b").unwrap().ctx;
         assert!(cdfg.is_in_subtree(c, main));
         assert!(!cdfg.is_in_subtree(b, c));
-        assert_eq!(cdfg.depth(c), 3);
-        assert_eq!(cdfg.depth(ContextId::ROOT), 0);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //! communication cost of the parent node."
 
 use serde::{Deserialize, Serialize};
-use sigil_callgrind::{ContextId, CostVec};
+use sigil_callgrind::CostVec;
 
 use crate::cdfg::Cdfg;
+use crate::merge::Flow;
 
 /// Costs of a node merged with its entire sub-tree.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -43,72 +44,35 @@ impl InclusiveCosts {
 /// below the lowest common ancestor of `p` and `c` (and symmetrically out
 /// of the ancestors of `p`).
 pub fn inclusive_table(cdfg: &Cdfg) -> Vec<InclusiveCosts> {
-    let n = cdfg.len();
-    let mut table = vec![InclusiveCosts::default(); n];
-
-    // Computation: post-order accumulation of exclusive costs.
-    // Process children before parents; contexts are created parent-first,
-    // so iterating ids in reverse visits children first.
-    for idx in (0..n).rev() {
-        let ctx = ContextId(u32::try_from(idx).expect("context count fits u32"));
-        let node = cdfg.node(ctx);
-        let mut sum = node.costs;
-        for &child in &node.children {
-            sum += table[child.index()].costs;
-        }
-        table[idx].costs = sum;
-    }
-
-    // Communication: walk each edge's ancestor chains up to the LCA.
+    let forest = cdfg.forest();
+    let mut table: Vec<InclusiveCosts> = cdfg
+        .nodes()
+        .iter()
+        .map(|node| InclusiveCosts {
+            costs: node.costs,
+            ..InclusiveCosts::default()
+        })
+        .collect();
+    forest.sum_subtrees(&mut table, |up, below| up.costs += below.costs);
     for edge in cdfg.data_edges() {
-        let lca = lowest_common_ancestor(cdfg, edge.producer, edge.consumer);
-        // Into: ancestors of consumer strictly below the LCA.
-        let mut cursor = Some(edge.consumer);
-        while let Some(c) = cursor {
-            if c == lca {
-                break;
-            }
-            table[c.index()].comm_in_unique += edge.unique_bytes;
-            table[c.index()].comm_in_nonunique += edge.nonunique_bytes;
-            cursor = cdfg.node(c).parent;
-        }
-        // Out of: ancestors of producer strictly below the LCA.
-        let mut cursor = Some(edge.producer);
-        while let Some(c) = cursor {
-            if c == lca {
-                break;
-            }
-            table[c.index()].comm_out_unique += edge.unique_bytes;
-            table[c.index()].comm_out_nonunique += edge.nonunique_bytes;
-            cursor = cdfg.node(c).parent;
-        }
+        let (producer, consumer) = (edge.producer.index(), edge.consumer.index());
+        forest.crossings(producer, consumer, |node, flow| {
+            let row = &mut table[node];
+            let (unique, nonunique) = match flow {
+                Flow::In => (&mut row.comm_in_unique, &mut row.comm_in_nonunique),
+                Flow::Out => (&mut row.comm_out_unique, &mut row.comm_out_nonunique),
+            };
+            *unique += edge.unique_bytes;
+            *nonunique += edge.nonunique_bytes;
+        });
     }
     table
-}
-
-/// Lowest common calltree ancestor of `a` and `b`.
-pub fn lowest_common_ancestor(cdfg: &Cdfg, a: ContextId, b: ContextId) -> ContextId {
-    let mut da = cdfg.depth(a);
-    let mut db = cdfg.depth(b);
-    let (mut a, mut b) = (a, b);
-    while da > db {
-        a = cdfg.node(a).parent.expect("deeper node has a parent");
-        da -= 1;
-    }
-    while db > da {
-        b = cdfg.node(b).parent.expect("deeper node has a parent");
-        db -= 1;
-    }
-    while a != b {
-        a = cdfg.node(a).parent.expect("nodes share the root");
-        b = cdfg.node(b).parent.expect("nodes share the root");
-    }
-    a
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sigil_callgrind::ContextId;
     use sigil_core::{SigilConfig, SigilProfiler};
     use sigil_trace::{Engine, OpClass};
 
@@ -196,17 +160,5 @@ mod tests {
         let root = &table[ContextId::ROOT.index()];
         assert_eq!(root.comm_in_unique, 0);
         assert_eq!(root.comm_out_unique, 0);
-    }
-
-    #[test]
-    fn lca_basics() {
-        let (cdfg, _) = toy();
-        let a = ctx_of(&cdfg, "A");
-        let b = ctx_of(&cdfg, "B");
-        let c = ctx_of(&cdfg, "C");
-        let main = ctx_of(&cdfg, "main");
-        assert_eq!(lowest_common_ancestor(&cdfg, a, b), main);
-        assert_eq!(lowest_common_ancestor(&cdfg, c, a), a);
-        assert_eq!(lowest_common_ancestor(&cdfg, c, c), c);
     }
 }

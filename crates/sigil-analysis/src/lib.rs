@@ -49,6 +49,7 @@ pub mod cdfg;
 pub mod critical_path;
 pub mod dot;
 pub mod inclusive;
+mod merge;
 pub mod partition;
 pub mod reuse_analysis;
 pub mod scaling;

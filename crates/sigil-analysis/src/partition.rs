@@ -7,6 +7,9 @@
 //! optimized for maximum application coverage with useful functions and
 //! for minimal communication."
 
+use std::cmp::Ordering;
+use std::collections::HashMap;
+
 use serde::{Deserialize, Serialize};
 use sigil_callgrind::ContextId;
 use sigil_core::Profile;
@@ -85,61 +88,47 @@ impl PreparedCdfg {
         let inclusive = inclusive_table(&cdfg);
         PreparedCdfg { cdfg, inclusive }
     }
-}
 
-struct Trimmer<'a> {
-    cdfg: &'a Cdfg,
-    inclusive: &'a [InclusiveCosts],
-    breakevens: Vec<f64>,
-    cycles: Vec<u64>,
-    config: &'a PartitionConfig,
-}
-
-impl Trimmer<'_> {
-    /// Returns the selected leaves in `ctx`'s subtree and the minimum
-    /// breakeven among them (`f64::INFINITY` when nothing is selectable).
+    /// The candidate row of every context, indexed by raw context id.
     ///
-    /// `mergeable` is false for the program entry: the top-level driver
-    /// is never an accelerator candidate (the paper's candidates are
-    /// functions *inside* the application, never `main`). Opaque system
-    /// calls cannot be offloaded either.
-    fn trim(&self, ctx: ContextId, mergeable: bool, out: &mut Vec<ContextId>) -> f64 {
-        let node = self.cdfg.node(ctx);
-        let own = if mergeable
-            && node.func.is_some()
-            && !node.is_syscall
-            && self.cycles[ctx.index()] >= self.config.min_cycles
-        {
-            self.breakevens[ctx.index()]
-        } else {
-            f64::INFINITY
-        };
-
-        if node.children.is_empty() {
-            if own.is_finite() {
-                out.push(ctx);
-            }
-            return own;
-        }
-
-        let mut child_leaves = Vec::new();
-        let mut best_child = f64::INFINITY;
-        for &child in &node.children {
-            best_child = best_child.min(self.trim(child, true, &mut child_leaves));
-        }
-
-        // Merge the whole sub-tree into `ctx` when that is at least as
-        // good (lower breakeven) as the best leaf found below — merging
-        // absorbs internal communication, so this naturally maximizes
-        // coverage while minimizing crossing traffic.
-        if own.is_finite() && own <= best_child {
-            out.push(ctx);
-            own
-        } else {
-            out.append(&mut child_leaves);
-            best_child
-        }
+    /// A context is never a candidate when it is the root or the program
+    /// entry (the paper's candidates are functions *inside* the
+    /// application, never `main`), an opaque system call, a sub-tree
+    /// under the noise floor, or a box whose communication costs at least
+    /// its software time (infinite breakeven).
+    fn candidates(&self, profile: &Profile, config: &PartitionConfig) -> Vec<Option<Candidate>> {
+        let model = profile.callgrind.cycle_model;
+        let total_cycles = profile.callgrind.total_cycles().max(1);
+        self.cdfg
+            .nodes()
+            .iter()
+            .zip(&self.inclusive)
+            .map(|(node, inc)| {
+                if node.func.is_none() || node.is_syscall || node.parent == Some(ContextId::ROOT) {
+                    return None;
+                }
+                let cycles = model.estimate(&inc.costs);
+                let breakeven = breakeven_for(inc, cycles, &config.bus);
+                (cycles >= config.min_cycles && breakeven.is_finite()).then(|| Candidate {
+                    ctx: node.ctx,
+                    name: node.name.clone(),
+                    breakeven,
+                    inclusive_cycles: cycles,
+                    coverage: cycles as f64 / total_cycles as f64,
+                    comm_in_unique: inc.comm_in_unique,
+                    comm_out_unique: inc.comm_out_unique,
+                })
+            })
+            .collect()
     }
+}
+
+/// Best breakeven first; among equals, the larger sub-tree first.
+fn by_breakeven(a: &Candidate, b: &Candidate) -> Ordering {
+    a.breakeven
+        .partial_cmp(&b.breakeven)
+        .expect("breakevens are never NaN")
+        .then_with(|| b.inclusive_cycles.cmp(&a.inclusive_cycles))
 }
 
 /// Trims the calltree of `profile` into accelerator candidates.
@@ -173,55 +162,23 @@ pub fn trim_calltree_prepared(
     config: &PartitionConfig,
 ) -> TrimmedTree {
     let _span = sigil_obs::span("analysis:trim_calltree");
-    let PreparedCdfg { cdfg, inclusive } = prepared;
-    let model = profile.callgrind.cycle_model;
-    let cycles: Vec<u64> = inclusive.iter().map(|i| model.estimate(&i.costs)).collect();
-    let breakevens: Vec<f64> = inclusive
+    let mut rows = prepared.candidates(profile, config);
+    let breakevens: Vec<f64> = rows
         .iter()
-        .zip(&cycles)
-        .map(|(inc, &cyc)| breakeven_for(inc, cyc, &config.bus))
+        .map(|row| row.as_ref().map_or(f64::INFINITY, |c| c.breakeven))
         .collect();
-
-    let trimmer = Trimmer {
-        cdfg,
-        inclusive,
-        breakevens,
-        cycles,
-        config,
-    };
-    let mut selected = Vec::new();
-    // Expand from the root's children (the program entry): neither the
-    // root nor the entry function is a candidate.
-    for &child in &cdfg.node(ContextId::ROOT).children {
-        trimmer.trim(child, false, &mut selected);
-    }
-
-    let total_cycles = profile.callgrind.total_cycles().max(1);
-    let mut leaves: Vec<Candidate> = selected
+    let mut leaves: Vec<Candidate> = prepared
+        .cdfg
+        .forest()
+        .trim(ContextId::ROOT.index(), &breakevens)
         .into_iter()
-        .map(|ctx| {
-            let inc = &trimmer.inclusive[ctx.index()];
-            Candidate {
-                ctx,
-                name: cdfg.node(ctx).name.clone(),
-                breakeven: trimmer.breakevens[ctx.index()],
-                inclusive_cycles: trimmer.cycles[ctx.index()],
-                coverage: trimmer.cycles[ctx.index()] as f64 / total_cycles as f64,
-                comm_in_unique: inc.comm_in_unique,
-                comm_out_unique: inc.comm_out_unique,
-            }
-        })
+        .filter_map(|node| rows[node].take())
         .collect();
-    leaves.sort_by(|a, b| {
-        a.breakeven
-            .partial_cmp(&b.breakeven)
-            .expect("breakevens are never NaN")
-            .then_with(|| b.inclusive_cycles.cmp(&a.inclusive_cycles))
-    });
+    leaves.sort_by(by_breakeven);
     let coverage = leaves.iter().map(|l| l.coverage).sum();
     TrimmedTree {
         leaves,
-        total_cycles,
+        total_cycles: profile.callgrind.total_cycles().max(1),
         coverage,
     }
 }
@@ -239,50 +196,17 @@ pub fn rank_functions_prepared(
     profile: &Profile,
     config: &PartitionConfig,
 ) -> Vec<Candidate> {
-    use std::collections::HashMap;
     let _span = sigil_obs::span("analysis:rank_functions");
-    let PreparedCdfg { cdfg, inclusive } = prepared;
-    let model = profile.callgrind.cycle_model;
-    let total_cycles = profile.callgrind.total_cycles().max(1);
-
     let mut best: HashMap<String, Candidate> = HashMap::new();
-    for node in cdfg.nodes() {
-        if node.func.is_none() || node.is_syscall || node.parent == Some(ContextId::ROOT) {
-            continue;
+    for row in prepared.candidates(profile, config).into_iter().flatten() {
+        let kept = best.entry(row.name.clone()).or_insert_with(|| row.clone());
+        if row.breakeven < kept.breakeven {
+            *kept = row;
         }
-        let inc = &inclusive[node.ctx.index()];
-        let cycles = model.estimate(&inc.costs);
-        if cycles < config.min_cycles {
-            continue;
-        }
-        let breakeven = breakeven_for(inc, cycles, &config.bus);
-        if !breakeven.is_finite() {
-            continue;
-        }
-        let candidate = Candidate {
-            ctx: node.ctx,
-            name: node.name.clone(),
-            breakeven,
-            inclusive_cycles: cycles,
-            coverage: cycles as f64 / total_cycles as f64,
-            comm_in_unique: inc.comm_in_unique,
-            comm_out_unique: inc.comm_out_unique,
-        };
-        best.entry(node.name.clone())
-            .and_modify(|existing| {
-                if candidate.breakeven < existing.breakeven {
-                    *existing = candidate.clone();
-                }
-            })
-            .or_insert(candidate);
     }
     let mut rows: Vec<Candidate> = best.into_values().collect();
-    rows.sort_by(|a, b| {
-        a.breakeven
-            .partial_cmp(&b.breakeven)
-            .expect("breakevens are never NaN")
-            .then_with(|| b.inclusive_cycles.cmp(&a.inclusive_cycles))
-    });
+    // Ties on breakeven and cycles come out in name order, not hash order.
+    rows.sort_by(|a, b| by_breakeven(a, b).then_with(|| a.name.cmp(&b.name)));
     rows
 }
 
@@ -428,5 +352,22 @@ mod tests {
         let profile = p.into_profile(s);
         let rows = rank_functions(&profile, &PartitionConfig::default());
         assert_eq!(rows.iter().filter(|r| r.name == "d").count(), 1);
+    }
+
+    #[test]
+    fn rank_ties_come_out_in_name_order() {
+        let mut engine = Engine::new(SigilProfiler::new(SigilConfig::default()));
+        engine.scoped_named("main", |e| {
+            for name in ["k7", "k3", "k5", "k0", "k6", "k1", "k4", "k2"] {
+                e.scoped_named(name, |e| e.op(OpClass::IntArith, 1_000));
+            }
+        });
+        let (p, s) = engine.finish_with_symbols();
+        let profile = p.into_profile(s);
+        for _ in 0..50 {
+            let rows = rank_functions(&profile, &PartitionConfig::default());
+            let names: Vec<&str> = rows.iter().map(|r| r.name.as_str()).collect();
+            assert_eq!(names, ["k0", "k1", "k2", "k3", "k4", "k5", "k6", "k7"]);
+        }
     }
 }

@@ -33,6 +33,7 @@ use sigil_trace::CallNumber;
 
 use crate::breakeven::{breakeven_speedup, BusModel};
 use crate::critical_path::{CommModel, CriticalPathError, DependencyGraph};
+use crate::merge::{Flow, Forest};
 
 /// A failure while streaming an analysis off a binary event file.
 #[derive(Debug)]
@@ -275,21 +276,6 @@ impl EventCdfgFold {
         self.nodes.entry(ctx).or_insert_with(|| EventNode::new(ctx))
     }
 
-    /// Whether making `parent` the parent of `child` would close a cycle
-    /// (possible only on adversarial streams; walks are capped by the
-    /// node count).
-    fn would_cycle(&self, child: ContextId, parent: ContextId) -> bool {
-        let mut cursor = Some(parent);
-        for _ in 0..=self.nodes.len() {
-            match cursor {
-                None => return false,
-                Some(c) if c == child => return true,
-                Some(c) => cursor = self.nodes.get(&c).and_then(|n| n.parent),
-            }
-        }
-        true // walk did not terminate: treat as cyclic
-    }
-
     /// Folds one record.
     pub fn push(&mut self, record: &EventRecord) {
         match *record {
@@ -310,12 +296,13 @@ impl EventCdfgFold {
                 self.node(parent_ctx);
                 let node = self.node(ctx);
                 node.calls += 1;
-                if node.parent.is_none()
-                    && ctx != parent_ctx
-                    && ctx != ContextId::ROOT
-                    && !self.would_cycle(ctx, parent_ctx)
-                {
-                    self.node(ctx).parent = Some(parent_ctx);
+                // Only the first call record naming a context links it to
+                // a parent. Until then no call runs in that context, so it
+                // has no children, cannot be `parent_ctx` itself, and the
+                // link cannot close a cycle: parent links always form a
+                // forest.
+                if node.parent.is_none() && ctx != ContextId::ROOT {
+                    node.parent = Some(parent_ctx);
                     self.node(parent_ctx).children.push(ctx);
                 }
             }
@@ -400,7 +387,7 @@ pub struct EventCandidate {
 }
 
 /// The event-level CDFG: context tree plus aggregated data edges.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EventCdfg {
     nodes: BTreeMap<ContextId, EventNode>,
     edges: Vec<EventEdge>,
@@ -446,36 +433,39 @@ impl EventCdfg {
         self.nodes.is_empty()
     }
 
-    fn depth_capped(&self, ctx: ContextId) -> usize {
-        let mut depth = 0;
-        let mut cursor = self.nodes.get(&ctx).and_then(|n| n.parent);
-        while let Some(c) = cursor {
-            depth += 1;
-            if depth > self.nodes.len() {
-                break;
-            }
-            cursor = self.nodes.get(&c).and_then(|n| n.parent);
+    /// The context tree as a forest over the sorted context ids, and the
+    /// inclusive quantities of every context, indexed alike.
+    fn merged(&self) -> (Vec<ContextId>, Forest, Vec<EventInclusive>) {
+        let ids: Vec<ContextId> = self.nodes.keys().copied().collect();
+        // The fold makes a node for every context it links or charges.
+        let pos = |ctx: ContextId| ids.binary_search(&ctx).expect("context has a node");
+        let forest = Forest::new(
+            self.nodes
+                .values()
+                .map(|node| node.children.iter().map(|&c| pos(c)).collect())
+                .collect(),
+        );
+        let mut table: Vec<EventInclusive> = self
+            .nodes
+            .values()
+            .map(|node| EventInclusive {
+                ops: node.ops,
+                ..EventInclusive::default()
+            })
+            .collect();
+        forest.sum_subtrees(&mut table, |up, below| {
+            up.ops = up.ops.saturating_add(below.ops)
+        });
+        for edge in &self.edges {
+            forest.crossings(pos(edge.producer), pos(edge.consumer), |node, flow| {
+                let row = &mut table[node];
+                match flow {
+                    Flow::In => row.in_bytes = row.in_bytes.saturating_add(edge.bytes),
+                    Flow::Out => row.out_bytes = row.out_bytes.saturating_add(edge.bytes),
+                }
+            });
         }
-        depth
-    }
-
-    fn lca(&self, a: ContextId, b: ContextId) -> Option<ContextId> {
-        let parent = |c: ContextId| self.nodes.get(&c).and_then(|n| n.parent);
-        let (mut a, mut b) = (a, b);
-        let (mut da, mut db) = (self.depth_capped(a), self.depth_capped(b));
-        while da > db {
-            a = parent(a)?;
-            da -= 1;
-        }
-        while db > da {
-            b = parent(b)?;
-            db -= 1;
-        }
-        while a != b {
-            a = parent(a)?;
-            b = parent(b)?;
-        }
-        Some(a)
+        (ids, forest, table)
     }
 
     /// Inclusive quantities for every context: sub-tree ops plus the
@@ -483,48 +473,8 @@ impl EventCdfg {
     /// discarded, exactly as [`crate::inclusive::inclusive_table`] does
     /// on the profile-based CDFG).
     pub fn inclusive(&self) -> BTreeMap<ContextId, EventInclusive> {
-        let mut table: BTreeMap<ContextId, EventInclusive> = self
-            .nodes
-            .keys()
-            .map(|&ctx| (ctx, EventInclusive::default()))
-            .collect();
-        // Sub-tree ops: charge each node's exclusive ops to itself and
-        // every ancestor (walks capped against adversarial cycles).
-        for node in self.nodes.values() {
-            let mut cursor = Some(node.ctx);
-            for _ in 0..=self.nodes.len() {
-                let Some(c) = cursor else { break };
-                if let Some(entry) = table.get_mut(&c) {
-                    entry.ops = entry.ops.saturating_add(node.ops);
-                }
-                cursor = self.nodes.get(&c).and_then(|n| n.parent);
-            }
-        }
-        // Crossing bytes: each edge crosses into the consumer's ancestors
-        // strictly below the LCA, and out of the producer's.
-        for edge in &self.edges {
-            let lca = self.lca(edge.producer, edge.consumer);
-            let mut charge = |start: ContextId, into: bool| {
-                let mut cursor = Some(start);
-                for _ in 0..=self.nodes.len() {
-                    let Some(c) = cursor else { break };
-                    if Some(c) == lca {
-                        break;
-                    }
-                    if let Some(entry) = table.get_mut(&c) {
-                        if into {
-                            entry.in_bytes = entry.in_bytes.saturating_add(edge.bytes);
-                        } else {
-                            entry.out_bytes = entry.out_bytes.saturating_add(edge.bytes);
-                        }
-                    }
-                    cursor = self.nodes.get(&c).and_then(|n| n.parent);
-                }
-            };
-            charge(edge.consumer, true);
-            charge(edge.producer, false);
-        }
-        table
+        let (ids, _, table) = self.merged();
+        ids.into_iter().zip(table).collect()
     }
 
     /// Trims the event-level tree into accelerator candidates with the
@@ -534,24 +484,35 @@ impl EventCdfg {
     /// it. The program entry (child of the root context) is never a
     /// candidate; sub-trees under `min_ops` are noise-floored out.
     pub fn trim(&self, bus: &BusModel, min_ops: u64) -> Vec<EventCandidate> {
-        let inclusive = self.inclusive();
-        let mut selected = Vec::new();
-        if let Some(root) = self.nodes.get(&ContextId::ROOT) {
-            for &entry in &root.children {
-                self.trim_rec(entry, false, bus, min_ops, &inclusive, &mut selected, 0);
-            }
-        }
-        let mut leaves: Vec<EventCandidate> = selected
+        let (ids, forest, inclusive) = self.merged();
+        let Ok(root) = ids.binary_search(&ContextId::ROOT) else {
+            return Vec::new();
+        };
+        let breakevens: Vec<f64> = self
+            .nodes
+            .values()
+            .zip(&inclusive)
+            .map(|(node, inc)| {
+                if node.parent != Some(ContextId::ROOT) && inc.ops >= min_ops.max(1) {
+                    breakeven_speedup(
+                        inc.ops as f64,
+                        bus.transfer_cycles(inc.in_bytes),
+                        bus.transfer_cycles(inc.out_bytes),
+                    )
+                } else {
+                    f64::INFINITY
+                }
+            })
+            .collect();
+        let mut leaves: Vec<EventCandidate> = forest
+            .trim(root, &breakevens)
             .into_iter()
-            .filter_map(|ctx| {
-                let inc = inclusive.get(&ctx)?;
-                Some(EventCandidate {
-                    ctx,
-                    breakeven: self.breakeven_of(inc, bus),
-                    inclusive_ops: inc.ops,
-                    in_bytes: inc.in_bytes,
-                    out_bytes: inc.out_bytes,
-                })
+            .map(|node| EventCandidate {
+                ctx: ids[node],
+                breakeven: breakevens[node],
+                inclusive_ops: inclusive[node].ops,
+                in_bytes: inclusive[node].in_bytes,
+                out_bytes: inclusive[node].out_bytes,
             })
             .collect();
         leaves.sort_by(|a, b| {
@@ -562,65 +523,6 @@ impl EventCdfg {
                 .then_with(|| a.ctx.cmp(&b.ctx))
         });
         leaves
-    }
-
-    fn breakeven_of(&self, inc: &EventInclusive, bus: &BusModel) -> f64 {
-        breakeven_speedup(
-            inc.ops as f64,
-            bus.transfer_cycles(inc.in_bytes),
-            bus.transfer_cycles(inc.out_bytes),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn trim_rec(
-        &self,
-        ctx: ContextId,
-        mergeable: bool,
-        bus: &BusModel,
-        min_ops: u64,
-        inclusive: &BTreeMap<ContextId, EventInclusive>,
-        out: &mut Vec<ContextId>,
-        depth: usize,
-    ) -> f64 {
-        if depth > self.nodes.len() {
-            return f64::INFINITY; // adversarial cycle guard
-        }
-        let Some(node) = self.nodes.get(&ctx) else {
-            return f64::INFINITY;
-        };
-        let inc = inclusive.get(&ctx).copied().unwrap_or_default();
-        let own = if mergeable && inc.ops >= min_ops.max(1) {
-            self.breakeven_of(&inc, bus)
-        } else {
-            f64::INFINITY
-        };
-        if node.children.is_empty() {
-            if own.is_finite() {
-                out.push(ctx);
-            }
-            return own;
-        }
-        let mut child_leaves = Vec::new();
-        let mut best_child = f64::INFINITY;
-        for &child in &node.children {
-            best_child = best_child.min(self.trim_rec(
-                child,
-                true,
-                bus,
-                min_ops,
-                inclusive,
-                &mut child_leaves,
-                depth + 1,
-            ));
-        }
-        if own.is_finite() && own <= best_child {
-            out.push(ctx);
-            own
-        } else {
-            out.append(&mut child_leaves);
-            best_child
-        }
     }
 }
 
@@ -767,6 +669,7 @@ pub fn in_memory_summary(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sigil_core::events_bin::encode_events_chunked;
     use sigil_core::{EventFile, SigilConfig, SigilProfiler};
     use sigil_trace::{Engine, OpClass};
@@ -1019,5 +922,75 @@ mod tests {
             cp.push(r);
         }
         cp.finish().expect("compute work present");
+    }
+
+    #[test]
+    fn deep_call_chains_fold_merge_and_trim() {
+        // A 50,000-deep chain retiring 10 ops per level; the deepest
+        // level sends 8 bytes back to the entry.
+        const DEPTH: u32 = 50_000;
+        let mut fold = EventCdfgFold::new();
+        for level in 1..=DEPTH {
+            let n = u64::from(level);
+            fold.push(&EventRecord::Call {
+                parent_call: call(n - 1),
+                call: call(n),
+                ctx: ContextId(level),
+            });
+            fold.push(&EventRecord::Compute {
+                call: call(n),
+                ctx: ContextId(level),
+                ops: 10,
+            });
+        }
+        fold.push(&EventRecord::Transfer {
+            from_call: call(DEPTH.into()),
+            to_call: call(1),
+            bytes: 8,
+        });
+        let cdfg = fold.finish();
+        let inclusive = cdfg.inclusive();
+        assert_eq!(inclusive[&ContextId(1)].ops, 10 * u64::from(DEPTH));
+        assert_eq!(inclusive[&ContextId(1)].out_bytes, 0);
+        assert_eq!(inclusive[&ContextId(2)].out_bytes, 8);
+        // Level 2 hides the most work behind the same 8 bytes.
+        let candidates = cdfg.trim(&BusModel::soc_default(), 1);
+        assert_eq!(candidates.len(), 1);
+        assert_eq!(candidates[0].ctx, ContextId(2));
+    }
+
+    fn arb_record() -> impl Strategy<Value = EventRecord> {
+        prop_oneof![
+            (0..6u64, 0..6u64, 0..5u32).prop_map(|(p, c, x)| EventRecord::Call {
+                parent_call: call(p),
+                call: call(c),
+                ctx: ContextId(x),
+            }),
+            (0..6u64, 0..5u32, 0..100u64).prop_map(|(c, x, ops)| EventRecord::Compute {
+                call: call(c),
+                ctx: ContextId(x),
+                ops,
+            }),
+            (0..6u64, 0..6u64, 0..100u64).prop_map(|(f, t, bytes)| EventRecord::Transfer {
+                from_call: call(f),
+                to_call: call(t),
+                bytes,
+            }),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn folded_parent_links_form_a_forest(records in prop::collection::vec(arb_record(), 0..120)) {
+            let cdfg = EventCdfg::from_records(&records);
+            for node in cdfg.nodes() {
+                let (mut cursor, mut steps) = (node.parent, 0);
+                while let Some(ctx) = cursor {
+                    steps += 1;
+                    prop_assert!(steps <= cdfg.len(), "parent links loop from {:?}", node.ctx);
+                    cursor = cdfg.node(ctx).expect("every parent has a node").parent;
+                }
+            }
+        }
     }
 }
