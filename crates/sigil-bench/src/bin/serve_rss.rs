@@ -19,10 +19,9 @@
 
 use std::process::Command;
 
-use sigil_core::{Profile, SigilConfig, SigilProfiler};
-use sigil_serve::{
-    encode_trace_records, Client, Listen, ServeConfig, Server, SessionSpec, TraceRecord,
-};
+use sigil_core::events_bin::encode_chunk_payload;
+use sigil_core::{Profile, SigilConfig, SigilProfiler, TraceRecord};
+use sigil_serve::{Client, Listen, ServeConfig, Server, SessionSpec};
 use sigil_trace::io::replay;
 use sigil_trace::{MemAccess, OpClass, RuntimeEvent, SymbolTable};
 
@@ -130,7 +129,7 @@ fn measure(arm: &str, rounds: usize) {
             for round in 0..rounds {
                 push_round(round, ids, |e| pending.push(TraceRecord::Event(e)));
                 if pending.len() >= CHUNK_EVENTS {
-                    let payload = encode_trace_records(&pending);
+                    let payload = encode_chunk_payload(&pending);
                     client
                         .send_chunk(payload, pending.len() as u32)
                         .expect("send chunk");
@@ -138,7 +137,7 @@ fn measure(arm: &str, rounds: usize) {
                 }
             }
             pending.push(TraceRecord::Event(RuntimeEvent::Return));
-            let payload = encode_trace_records(&pending);
+            let payload = encode_chunk_payload(&pending);
             client
                 .send_chunk(payload, pending.len() as u32)
                 .expect("send final chunk");

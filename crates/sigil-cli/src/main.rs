@@ -11,13 +11,13 @@
 //! sigil events dump <benchmark> -o <file>       # record the event file (.evb = binary)
 //! sigil events pack <in.txt> -o <out.evb>       # text -> chunk-indexed binary
 //! sigil events unpack <in.evb> [-o <out.txt>]   # binary -> text, one chunk at a time
-//! sigil events stat <in.evb> [--verify]         # trailer-index stats (no record decode)
+//! sigil events stat <in.evb|in.sgtr> [--verify] # trailer-index stats (no record decode)
 //! sigil schedule <benchmark> [--cores N]        # map dependency chains onto cores
 //! sigil calltree <benchmark> [--size S]         # callgrind-style context tree
 //! sigil dot <benchmark> [--size S]              # control data-flow graph (Graphviz)
 //! sigil run <file.svm> [--reuse] [--lines N]    # assemble + profile a guest program
 //! sigil trace <benchmark> -o <file.sgtr>        # record a platform-independent trace
-//! sigil replay <file.sgtr> [--reuse] [...]      # profile from a recorded trace
+//! sigil replay <file.sgtr> [--reuse] [...]      # profile a recorded trace, chunk by chunk
 //! sigil sweep <all|b1,b2,..> [--jobs N] [--json] # profile many workloads, optionally in parallel
 //! sigil scaling <all|b1,b2,..> [--json] [-o F]  # communication-vs-input-size curves (a·N^b fits)
 //! sigil diff [random] [--seeds N] [--seed-base N] [--limit N] [--shards N] [--threads N]
@@ -55,12 +55,17 @@ use sigil_analysis::streaming::{
     critical_path_from_bin, phase_profile_from_bin, CriticalPathFold, PathSummary, PhaseFold,
 };
 use sigil_analysis::Cdfg;
-use sigil_core::events_bin::{BinReader, BinTotals, BinWriter, ChunkStream, DEFAULT_CHUNK_RECORDS};
-use sigil_core::{report, EventFile, PhaseProfile, Profile, SigilConfig, SigilProfiler};
+use sigil_core::events_bin::{
+    BinError, BinReader, BinTotals, BinWriter, ChunkRecord, ChunkStream, RecordKind,
+    DEFAULT_CHUNK_RECORDS,
+};
+use sigil_core::{
+    report, EventFile, EventRecord, PhaseProfile, Profile, SigilConfig, SigilProfiler, TraceRecord,
+};
 use sigil_obs::log::Level;
 use sigil_obs::{obs_debug, obs_info};
 use sigil_trace::observer::RecordingObserver;
-use sigil_trace::Engine;
+use sigil_trace::{Engine, ExecutionObserver, SymbolTable};
 use sigil_workloads::{Benchmark, InputSize};
 
 fn usage() -> &'static str {
@@ -843,6 +848,8 @@ fn cmd_scaling(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
+/// `sigil trace <benchmark> -o <file.sgtr>`: record the run's runtime
+/// events and write them, symbols first, as a trace-kind container.
 fn cmd_trace(opts: &Options) -> Result<(), String> {
     let bench = opts.bench()?;
     let output = opts.output.as_deref().ok_or("trace needs -o <file>")?;
@@ -850,23 +857,36 @@ fn cmd_trace(opts: &Options) -> Result<(), String> {
     bench.run(opts.size, &mut engine);
     let (recorder, symbols) = engine.finish_with_symbols();
     let events = recorder.into_events();
+    let write_error = |e: std::io::Error| format!("cannot write `{output}`: {e}");
     let file =
         std::fs::File::create(output).map_err(|e| format!("cannot create `{output}`: {e}"))?;
-    let mut writer = std::io::BufWriter::new(file);
-    sigil_trace::io::write_trace(&mut writer, &symbols, &events).map_err(|e| e.to_string())?;
+    let mut writer = BinWriter::new(std::io::BufWriter::new(file)).map_err(write_error)?;
+    for record in TraceRecord::of_trace(&symbols, &events) {
+        writer.push(&record).map_err(write_error)?;
+    }
+    writer.finish().map_err(write_error)?;
     println!("wrote {} events to {output}", events.len());
     Ok(())
 }
 
+/// `sigil replay <file.sgtr>`: profile a recorded trace, streaming it one
+/// chunk at a time.
 fn cmd_replay(opts: &Options) -> Result<(), String> {
     let file = std::fs::File::open(&opts.target)
         .map_err(|e| format!("cannot open `{}`: {e}", opts.target))?;
-    let mut reader = std::io::BufReader::new(file);
-    let (symbols, events) = sigil_trace::io::read_trace(&mut reader).map_err(|e| e.to_string())?;
+    let located = |e: BinError| format!("{}: {e}", opts.target);
+    let mut stream =
+        ChunkStream::<_, TraceRecord>::new(std::io::BufReader::new(file)).map_err(located)?;
+    let mut symbols = SymbolTable::new();
     let mut profiler = SigilProfiler::new(sigil_config(opts));
-    sigil_trace::io::replay(&events, &mut profiler);
+    let mut events = 0u64;
+    while let Some(records) = stream.next_chunk().map_err(located)? {
+        events += TraceRecord::apply(records, &mut symbols, &mut profiler)
+            .map_err(|e| format!("{}: chunk {}: {e}", opts.target, stream.totals().chunks - 1))?;
+    }
+    profiler.on_finish();
     let profile = profiler.into_profile(symbols);
-    println!("# replayed {} events from {}", events.len(), opts.target);
+    println!("# replayed {events} events from {}", opts.target);
     print!("{}", report::full_report(&profile));
     Ok(())
 }
@@ -971,20 +991,27 @@ fn cmd_events_unpack(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// `sigil events stat <in.evb> [--verify]`: answer from the trailer index
-/// alone; `--verify` additionally decodes every chunk and cross-checks.
+/// `sigil events stat <file> [--verify]`: answer from the trailer index
+/// alone, for either record kind; `--verify` additionally streams every
+/// chunk, which checks the index and footer against the records.
 fn cmd_events_stat(opts: &Options) -> Result<(), String> {
+    fn stream_totals<T: ChunkRecord>(data: &[u8]) -> Result<BinTotals, BinError> {
+        ChunkStream::<_, T>::new(data)?.for_each(|_| {})
+    }
     let data =
         std::fs::read(&opts.target).map_err(|e| format!("cannot read `{}`: {e}", opts.target))?;
     let reader = BinReader::parse(&data).map_err(|e| format!("{}: {e}", opts.target))?;
     let totals = reader.totals();
     println!("# {} ({} bytes)", opts.target, data.len());
+    println!("record kind    : {}", reader.kind().name());
     println!("chunk target   : {} records", reader.chunk_target());
     println!("chunks         : {}", totals.chunks);
     println!("records        : {}", totals.records);
-    println!("call records   : {}", totals.call_records);
-    println!("compute ops    : {}", totals.compute_ops);
-    println!("transfer bytes : {}", totals.transfer_bytes);
+    if reader.kind() == RecordKind::Event {
+        println!("call records   : {}", totals.call_records);
+        println!("compute ops    : {}", totals.compute_ops);
+        println!("transfer bytes : {}", totals.transfer_bytes);
+    }
     if totals.records > 0 {
         println!(
             "bytes/record   : {:.2}",
@@ -992,9 +1019,11 @@ fn cmd_events_stat(opts: &Options) -> Result<(), String> {
         );
     }
     if opts.verify {
-        reader
-            .verify()
-            .map_err(|e| format!("{}: {e}", opts.target))?;
+        match reader.kind() {
+            RecordKind::Event => stream_totals::<EventRecord>(&data),
+            RecordKind::Trace => stream_totals::<TraceRecord>(&data),
+        }
+        .map_err(|e| format!("{}: {e}", opts.target))?;
         println!("verified       : full scan matches the trailer index");
     }
     Ok(())
@@ -1219,7 +1248,7 @@ fn cmd_client(opts: &Options) -> Result<(), String> {
     if opts.target.ends_with(".evb") {
         let file = std::fs::File::open(&opts.target)
             .map_err(|e| format!("cannot open `{}`: {e}", opts.target))?;
-        let mut stream = ChunkStream::new(std::io::BufReader::new(file))
+        let mut stream = ChunkStream::<_, EventRecord>::new(std::io::BufReader::new(file))
             .map_err(|e| format!("{}: {e}", opts.target))?;
         let bucket_ops = opts.bucket_ops.unwrap_or(DEFAULT_BUCKET_OPS);
         let spec = SessionSpec::events(opts.target.clone(), Some(bucket_ops));

@@ -1,40 +1,48 @@
-//! Compact chunk-indexed binary event-file format (`SGEB`).
+//! Chunk-indexed binary container for record streams (`SGEB`).
 //!
 //! The text format of [`crate::events_out`] is the human-readable
 //! exchange representation; at production trace volume (billions of
 //! records) it is both bulky (~27 bytes/record) and forces the
 //! post-processing passes to hold the whole record list in memory. This
-//! module defines the on-disk binary counterpart the streaming analyses
-//! consume:
+//! module defines the one on-disk container for binary record streams.
+//! It holds one of two record kinds, named in the file header:
 //!
-//! * **Varint-delta records.** Each record is a tag byte plus LEB128
-//!   varints; call numbers are zigzag-delta encoded against the previous
-//!   record's call (calls are near-monotonic, so deltas are tiny).
+//! * [`EventRecord`]s (kind 0, `.evb` files): the event file the
+//!   streaming analyses consume.
+//! * [`TraceRecord`]s (kind 1, `.sgtr` files): a recorded runtime trace
+//!   plus its symbol table, which `sigil replay` profiles without
+//!   running the workload again.
+//!
+//! Both kinds share the framing:
+//!
 //! * **Independently decodable chunks.** Records are grouped into chunks
-//!   (default [`DEFAULT_CHUNK_RECORDS`] records); the delta baseline
-//!   resets at every chunk boundary, so any chunk can be decoded without
-//!   its predecessors. Each chunk is framed by a fixed header carrying
-//!   its payload length, record count, and an FNV-1a checksum — the file
-//!   is self-framing and sequentially streamable with memory bounded by
-//!   one chunk.
+//!   (default [`DEFAULT_CHUNK_RECORDS`] records, and never more than
+//!   [`MAX_PAYLOAD`] bytes); any per-chunk encoder state resets at every
+//!   chunk boundary, so any chunk can be decoded without its
+//!   predecessors. Each chunk is framed by a fixed header carrying its
+//!   payload length, record count, and an FNV-1a checksum — the file is
+//!   self-framing and sequentially streamable with memory bounded by one
+//!   chunk.
 //! * **Trailer index.** After the last chunk, a fixed-width index records
 //!   every chunk's file offset, record count, call-record count, compute
-//!   ops, and transfer bytes, followed by a footer with the index offset
-//!   and whole-file totals. Readers over a byte slice (e.g. an mmap) can
-//!   seek straight to the trailer, answer `stat` queries without touching
-//!   a single record, and random-access any chunk.
+//!   ops, and transfer bytes (the last three stay zero for trace chunks),
+//!   followed by a footer with the index offset and whole-file totals.
+//!   `sigil events stat` answers from the trailer without touching a
+//!   single record.
 //!
 //! Layout (all integers little-endian):
 //!
 //! ```text
-//! header   "SGEB" | version u16 | flags u16 | chunk_target u32 | reserved u32
+//! header   "SGEB" | version u16 | kind u16 | chunk_target u32 | reserved u32
 //! chunk*   0x01 | record_count u32 | payload_len u32 | fnv1a64 u64 | payload
 //! index    0x02 | per chunk: offset u64 | record_count u32 | call_records u32
 //!                            | compute_ops u64 | transfer_bytes u64
 //! footer   index_offset u64 | chunk_count u64 | total_records u64 | "SGEBIDX\0"
 //! ```
 //!
-//! Record payload encoding (per-chunk `prev` starts at 0):
+//! Event-record payloads (kind 0) are a tag byte plus LEB128 varints; call
+//! numbers are zigzag-delta encoded against the previous record's call
+//! (`prev` starts at 0 in every chunk):
 //!
 //! ```text
 //! Call     0x00 zz(parent - prev) zz(call - prev) ctx          prev = call
@@ -42,15 +50,31 @@
 //! Transfer 0x02 zz(from - prev)   zz(to - from)   bytes        prev = to
 //! ```
 //!
-//! Lossless round-trips with the text format are pinned by the
+//! Trace-record payloads (kind 1) are a tag byte plus fixed-width fields:
+//!
+//! ```text
+//! Sym          0x00 id u32 | len u32 | utf-8 name
+//! Call         0x01 callee u32        Return       0x02
+//! Read         0x03 addr u64 | size u32
+//! Write        0x04 addr u64 | size u32
+//! Op           0x05 class u8 | count u32
+//! Branch       0x06 taken u8 | site u64
+//! SyscallEnter 0x07 name u32          SyscallExit  0x08
+//! ThreadSwitch 0x09 thread u32
+//! ```
+//!
+//! One loop decodes every payload, for [`ChunkStream`] and for
+//! [`decode_chunk_payload`] alike. Lossless round-trips are pinned by the
 //! `events_roundtrip` proptests; decoding arbitrary byte soup returns a
 //! located [`BinError`], never a panic.
 
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use sigil_callgrind::ContextId;
-use sigil_trace::CallNumber;
+use sigil_trace::{
+    CallNumber, ExecutionObserver, FunctionId, MemAccess, OpClass, RuntimeEvent, SymbolTable,
+    ThreadId,
+};
 
 use crate::events_out::{EventFile, EventRecord};
 
@@ -69,6 +93,8 @@ const TAG_CHUNK: u8 = 0x01;
 const TAG_INDEX: u8 = 0x02;
 /// Byte length of the fixed file header.
 const HEADER_LEN: usize = 16;
+/// Byte offset of the record kind within the file header.
+const KIND_AT: u64 = 6;
 /// Byte length of a chunk frame header (after the tag byte).
 const CHUNK_HEADER_LEN: usize = 16;
 /// Byte length of one trailer-index entry.
@@ -156,6 +182,28 @@ pub struct ChunkInfo {
     pub transfer_bytes: u64,
 }
 
+impl ChunkInfo {
+    fn to_bytes(self) -> [u8; INDEX_ENTRY_LEN] {
+        let mut out = [0u8; INDEX_ENTRY_LEN];
+        out[..8].copy_from_slice(&self.offset.to_le_bytes());
+        out[8..12].copy_from_slice(&self.records.to_le_bytes());
+        out[12..16].copy_from_slice(&self.call_records.to_le_bytes());
+        out[16..24].copy_from_slice(&self.compute_ops.to_le_bytes());
+        out[24..].copy_from_slice(&self.transfer_bytes.to_le_bytes());
+        out
+    }
+
+    fn from_bytes(entry: &[u8]) -> ChunkInfo {
+        ChunkInfo {
+            offset: read_u64(entry, 0),
+            records: read_u32(entry, 8),
+            call_records: read_u32(entry, 12),
+            compute_ops: read_u64(entry, 16),
+            transfer_bytes: read_u64(entry, 24),
+        }
+    }
+}
+
 /// Whole-file totals, computable from the trailer index alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BinTotals {
@@ -172,18 +220,168 @@ pub struct BinTotals {
 }
 
 impl BinTotals {
-    fn accumulate(&mut self, info: &ChunkInfo) {
-        self.chunks += 1;
-        self.records += u64::from(info.records);
-        self.call_records += u64::from(info.call_records);
-        self.compute_ops += info.compute_ops;
-        self.transfer_bytes += info.transfer_bytes;
+    /// Sums index entries (op and byte sums wrap, as in the index).
+    fn of(index: &[ChunkInfo]) -> BinTotals {
+        let mut totals = BinTotals::default();
+        for info in index {
+            totals.chunks += 1;
+            totals.records += u64::from(info.records);
+            totals.call_records += u64::from(info.call_records);
+            totals.compute_ops = totals.compute_ops.wrapping_add(info.compute_ops);
+            totals.transfer_bytes = totals.transfer_bytes.wrapping_add(info.transfer_bytes);
+        }
+        totals
     }
 }
 
 // ---------------------------------------------------------------------------
-// Varint / zigzag primitives
+// Record kinds
 // ---------------------------------------------------------------------------
+
+/// Which record kind a container holds (the header's kind field).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecordKind {
+    /// [`EventRecord`]s: an event file (`.evb`).
+    Event = 0,
+    /// [`TraceRecord`]s: a recorded runtime trace (`.sgtr`).
+    Trace = 1,
+}
+
+impl RecordKind {
+    /// The kind's name in messages and `sigil events stat`.
+    pub fn name(self) -> &'static str {
+        match self {
+            RecordKind::Event => "event",
+            RecordKind::Trace => "trace",
+        }
+    }
+}
+
+mod sealed {
+    use sigil_callgrind::ContextId;
+
+    use super::BinError;
+
+    /// Seals [`super::ChunkRecord`]: the container holds only this
+    /// module's record kinds.
+    pub trait Sealed {}
+
+    /// Reads fields out of one chunk payload, locating damage at
+    /// absolute offsets.
+    pub struct Cursor<'a> {
+        pub(super) data: &'a [u8],
+        pub(super) pos: usize,
+        /// Absolute offset of `data[0]` (file or connection).
+        pub(super) base: u64,
+        pub(super) chunk: Option<usize>,
+    }
+
+    impl<'a> Cursor<'a> {
+        #[inline]
+        pub(super) fn offset(&self) -> u64 {
+            self.base + self.pos as u64
+        }
+
+        pub(super) fn error(&self, at: u64, message: impl Into<String>) -> BinError {
+            BinError::format(at, self.chunk, message)
+        }
+
+        #[cold]
+        fn truncated(&self) -> BinError {
+            self.error(self.offset(), "truncated record")
+        }
+
+        #[inline]
+        pub(super) fn take(&mut self, len: usize) -> Result<&'a [u8], BinError> {
+            let Some(bytes) = self.data.get(self.pos..self.pos + len) else {
+                return Err(self.truncated());
+            };
+            self.pos += len;
+            Ok(bytes)
+        }
+
+        #[inline]
+        pub(super) fn array<const N: usize>(&mut self) -> Result<[u8; N], BinError> {
+            Ok(self.take(N)?.try_into().expect("took N bytes"))
+        }
+
+        #[inline]
+        pub(super) fn byte(&mut self) -> Result<u8, BinError> {
+            let Some(&byte) = self.data.get(self.pos) else {
+                return Err(self.truncated());
+            };
+            self.pos += 1;
+            Ok(byte)
+        }
+
+        #[inline]
+        pub(super) fn u32(&mut self) -> Result<u32, BinError> {
+            Ok(u32::from_le_bytes(self.array()?))
+        }
+
+        #[inline]
+        pub(super) fn u64(&mut self) -> Result<u64, BinError> {
+            Ok(u64::from_le_bytes(self.array()?))
+        }
+
+        #[inline]
+        pub(super) fn varint(&mut self) -> Result<u64, BinError> {
+            let start = self.offset();
+            let mut value = 0u64;
+            let mut shift = 0u32;
+            loop {
+                let byte = self.byte()?;
+                if shift == 63 && byte > 1 {
+                    return Err(self.error(start, "varint overflows u64"));
+                }
+                value |= u64::from(byte & 0x7f) << shift;
+                if byte & 0x80 == 0 {
+                    return Ok(value);
+                }
+                shift += 7;
+                if shift > 63 {
+                    return Err(self.error(start, "varint longer than 10 bytes"));
+                }
+            }
+        }
+
+        /// A zigzag-encoded call-number delta from `from`.
+        #[inline]
+        pub(super) fn delta(&mut self, from: u64) -> Result<u64, BinError> {
+            Ok(from.wrapping_add(super::unzigzag(self.varint()?)))
+        }
+
+        #[inline]
+        pub(super) fn ctx(&mut self) -> Result<ContextId, BinError> {
+            let start = self.offset();
+            let raw = self.varint()?;
+            u32::try_from(raw)
+                .map(ContextId)
+                .map_err(|_| self.error(start, format!("context id {raw} out of range")))
+        }
+    }
+}
+
+use sealed::Cursor;
+
+/// A record kind the container can hold: [`EventRecord`] or
+/// [`TraceRecord`].
+pub trait ChunkRecord: Sized + sealed::Sealed {
+    /// The kind stored in the file header.
+    const KIND: RecordKind;
+    /// Encoder and decoder state, reset at every chunk boundary.
+    type State: Default;
+
+    /// Appends the record's encoding to `out`.
+    fn encode(&self, out: &mut Vec<u8>, state: &mut Self::State);
+
+    /// Decodes one record at the cursor.
+    fn decode(cursor: &mut Cursor<'_>, state: &mut Self::State) -> Result<Self, BinError>;
+
+    /// Adds the record's share to its chunk's index entry, beyond the
+    /// record count.
+    fn tally(&self, _info: &mut ChunkInfo) {}
+}
 
 /// Appends `value` as LEB128 to `out`.
 fn put_varint(out: &mut Vec<u8>, mut value: u64) {
@@ -209,74 +407,275 @@ fn unzigzag(value: u64) -> u64 {
     ((value >> 1) as i64 ^ -((value & 1) as i64)) as u64
 }
 
-/// Cursor decoding varints from a chunk payload, reporting absolute file
-/// offsets on damage.
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-    /// Absolute file offset of `data[0]`, for error locations.
-    base: u64,
-    chunk: usize,
-}
+impl sealed::Sealed for EventRecord {}
 
-impl Cursor<'_> {
-    fn offset(&self) -> u64 {
-        self.base + self.pos as u64
-    }
+impl ChunkRecord for EventRecord {
+    const KIND: RecordKind = RecordKind::Event;
+    /// The delta baseline: the previous record's call number.
+    type State = u64;
 
-    fn byte(&mut self) -> Result<u8, BinError> {
-        let b = *self
-            .data
-            .get(self.pos)
-            .ok_or_else(|| BinError::format(self.offset(), Some(self.chunk), "truncated record"))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn varint(&mut self) -> Result<u64, BinError> {
-        let start = self.offset();
-        let mut value = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let byte = self.byte()?;
-            if shift == 63 && byte > 1 {
-                return Err(BinError::format(
-                    start,
-                    Some(self.chunk),
-                    "varint overflows u64",
-                ));
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>, prev_call: &mut u64) {
+        match *self {
+            EventRecord::Call {
+                parent_call,
+                call,
+                ctx,
+            } => {
+                out.push(0);
+                put_varint(out, zigzag(parent_call.as_raw().wrapping_sub(*prev_call)));
+                put_varint(out, zigzag(call.as_raw().wrapping_sub(*prev_call)));
+                put_varint(out, u64::from(ctx.0));
+                *prev_call = call.as_raw();
             }
-            value |= u64::from(byte & 0x7f) << shift;
-            if byte & 0x80 == 0 {
-                return Ok(value);
+            EventRecord::Compute { call, ctx, ops } => {
+                out.push(1);
+                put_varint(out, zigzag(call.as_raw().wrapping_sub(*prev_call)));
+                put_varint(out, u64::from(ctx.0));
+                put_varint(out, ops);
+                *prev_call = call.as_raw();
             }
-            shift += 7;
-            if shift > 63 {
-                return Err(BinError::format(
-                    start,
-                    Some(self.chunk),
-                    "varint longer than 10 bytes",
-                ));
+            EventRecord::Transfer {
+                from_call,
+                to_call,
+                bytes,
+            } => {
+                out.push(2);
+                put_varint(out, zigzag(from_call.as_raw().wrapping_sub(*prev_call)));
+                put_varint(
+                    out,
+                    zigzag(to_call.as_raw().wrapping_sub(from_call.as_raw())),
+                );
+                put_varint(out, bytes);
+                *prev_call = to_call.as_raw();
             }
         }
     }
 
-    fn ctx(&mut self) -> Result<ContextId, BinError> {
-        let start = self.offset();
-        let raw = self.varint()?;
-        let raw = u32::try_from(raw).map_err(|_| {
-            BinError::format(
-                start,
-                Some(self.chunk),
-                format!("context id {raw} out of range"),
-            )
-        })?;
-        Ok(ContextId(raw))
+    #[inline]
+    fn decode(cursor: &mut Cursor<'_>, prev_call: &mut u64) -> Result<Self, BinError> {
+        let at = cursor.offset();
+        let record = match cursor.byte()? {
+            0 => {
+                let parent = cursor.delta(*prev_call)?;
+                *prev_call = cursor.delta(*prev_call)?;
+                EventRecord::Call {
+                    parent_call: CallNumber::from_raw(parent),
+                    call: CallNumber::from_raw(*prev_call),
+                    ctx: cursor.ctx()?,
+                }
+            }
+            1 => {
+                *prev_call = cursor.delta(*prev_call)?;
+                EventRecord::Compute {
+                    call: CallNumber::from_raw(*prev_call),
+                    ctx: cursor.ctx()?,
+                    ops: cursor.varint()?,
+                }
+            }
+            2 => {
+                let from = cursor.delta(*prev_call)?;
+                *prev_call = cursor.delta(from)?;
+                EventRecord::Transfer {
+                    from_call: CallNumber::from_raw(from),
+                    to_call: CallNumber::from_raw(*prev_call),
+                    bytes: cursor.varint()?,
+                }
+            }
+            other => return Err(cursor.error(at, format!("unknown record tag {other:#04x}"))),
+        };
+        Ok(record)
+    }
+
+    #[inline]
+    fn tally(&self, info: &mut ChunkInfo) {
+        // Sums wrap (as in the index) rather than panic on hostile input.
+        match *self {
+            EventRecord::Call { .. } => info.call_records += 1,
+            EventRecord::Compute { ops, .. } => {
+                info.compute_ops = info.compute_ops.wrapping_add(ops);
+            }
+            EventRecord::Transfer { bytes, .. } => {
+                info.transfer_bytes = info.transfer_bytes.wrapping_add(bytes);
+            }
+        }
+    }
+}
+
+/// One record of a trace: `.sgtr` files and trace-session CHUNK payloads
+/// hold these.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceRecord {
+    /// Defines function id `id` as `name`. Ids arrive in interning order
+    /// (0, 1, 2, …), so a reader's sequential [`SymbolTable`] reproduces
+    /// them.
+    Sym {
+        /// The function id being defined.
+        id: u32,
+        /// Its symbol name.
+        name: String,
+    },
+    /// One runtime event.
+    Event(RuntimeEvent),
+}
+
+impl TraceRecord {
+    /// The records of a recorded trace: every symbol definition in
+    /// interning order, then every event — the order a reader's
+    /// sequential intern needs to reproduce every id.
+    pub fn of_trace<'a>(
+        symbols: &'a SymbolTable,
+        events: &'a [RuntimeEvent],
+    ) -> impl Iterator<Item = TraceRecord> + 'a {
+        let symbols = symbols.iter().map(|(id, name)| TraceRecord::Sym {
+            id: id.as_raw(),
+            name: name.to_owned(),
+        });
+        symbols.chain(events.iter().map(|&event| TraceRecord::Event(event)))
+    }
+
+    /// Replays one decoded chunk: symbol definitions are interned into
+    /// `symbols`, events go to `observer`. Returns the number of events
+    /// fed.
+    ///
+    /// # Errors
+    ///
+    /// Names the record (its index in `records`) whose declared id is not
+    /// the id interning assigns it — ids out of order, or a name defined
+    /// twice.
+    pub fn apply<O: ExecutionObserver + ?Sized>(
+        records: &[TraceRecord],
+        symbols: &mut SymbolTable,
+        observer: &mut O,
+    ) -> Result<u64, String> {
+        let mut events = 0;
+        for (i, record) in records.iter().enumerate() {
+            match record {
+                TraceRecord::Sym { id, name } => {
+                    let assigned = symbols.intern(name).as_raw();
+                    if assigned != *id {
+                        return Err(format!(
+                            "record {i}: symbol {name:?} declared id {id} but interned as {assigned}"
+                        ));
+                    }
+                }
+                TraceRecord::Event(event) => {
+                    observer.on_event(*event);
+                    events += 1;
+                }
+            }
+        }
+        Ok(events)
+    }
+}
+
+impl sealed::Sealed for TraceRecord {}
+
+impl ChunkRecord for TraceRecord {
+    const KIND: RecordKind = RecordKind::Trace;
+    type State = ();
+
+    #[inline]
+    fn encode(&self, out: &mut Vec<u8>, _: &mut ()) {
+        let event = match self {
+            TraceRecord::Sym { id, name } => {
+                out.push(0);
+                out.extend_from_slice(&id.to_le_bytes());
+                out.extend_from_slice(&(name.len() as u32).to_le_bytes());
+                out.extend_from_slice(name.as_bytes());
+                return;
+            }
+            TraceRecord::Event(event) => *event,
+        };
+        match event {
+            RuntimeEvent::Call { callee } => {
+                out.push(1);
+                out.extend_from_slice(&callee.as_raw().to_le_bytes());
+            }
+            RuntimeEvent::Return => out.push(2),
+            RuntimeEvent::Read { access } => {
+                out.push(3);
+                out.extend_from_slice(&access.addr.to_le_bytes());
+                out.extend_from_slice(&access.size.to_le_bytes());
+            }
+            RuntimeEvent::Write { access } => {
+                out.push(4);
+                out.extend_from_slice(&access.addr.to_le_bytes());
+                out.extend_from_slice(&access.size.to_le_bytes());
+            }
+            RuntimeEvent::Op { class, count } => {
+                out.extend_from_slice(&[5, class.index() as u8]);
+                out.extend_from_slice(&count.to_le_bytes());
+            }
+            RuntimeEvent::Branch { site, taken } => {
+                out.extend_from_slice(&[6, u8::from(taken)]);
+                out.extend_from_slice(&site.to_le_bytes());
+            }
+            RuntimeEvent::SyscallEnter { name } => {
+                out.push(7);
+                out.extend_from_slice(&name.as_raw().to_le_bytes());
+            }
+            RuntimeEvent::SyscallExit => out.push(8),
+            RuntimeEvent::ThreadSwitch { thread } => {
+                out.push(9);
+                out.extend_from_slice(&thread.as_raw().to_le_bytes());
+            }
+        }
+    }
+
+    #[inline]
+    fn decode(cursor: &mut Cursor<'_>, _: &mut ()) -> Result<Self, BinError> {
+        let at = cursor.offset();
+        let event = match cursor.byte()? {
+            0 => {
+                let id = cursor.u32()?;
+                let len = cursor.u32()? as usize;
+                let name = std::str::from_utf8(cursor.take(len)?)
+                    .map_err(|e| cursor.error(at, format!("bad symbol utf-8: {e}")))?;
+                return Ok(TraceRecord::Sym {
+                    id,
+                    name: name.to_owned(),
+                });
+            }
+            1 => RuntimeEvent::Call {
+                callee: FunctionId::from_raw(cursor.u32()?),
+            },
+            2 => RuntimeEvent::Return,
+            3 => RuntimeEvent::Read {
+                access: MemAccess::new(cursor.u64()?, cursor.u32()?),
+            },
+            4 => RuntimeEvent::Write {
+                access: MemAccess::new(cursor.u64()?, cursor.u32()?),
+            },
+            5 => {
+                let code = cursor.byte()?;
+                let Some(&class) = OpClass::ALL.get(usize::from(code)) else {
+                    return Err(cursor.error(at + 1, format!("unknown op class {code}")));
+                };
+                RuntimeEvent::Op {
+                    class,
+                    count: cursor.u32()?,
+                }
+            }
+            6 => RuntimeEvent::Branch {
+                taken: cursor.byte()? != 0,
+                site: cursor.u64()?,
+            },
+            7 => RuntimeEvent::SyscallEnter {
+                name: FunctionId::from_raw(cursor.u32()?),
+            },
+            8 => RuntimeEvent::SyscallExit,
+            9 => RuntimeEvent::ThreadSwitch {
+                thread: ThreadId::from_raw(cursor.u32()?),
+            },
+            other => return Err(cursor.error(at, format!("unknown record tag {other:#04x}"))),
+        };
+        Ok(TraceRecord::Event(event))
     }
 }
 
 // ---------------------------------------------------------------------------
-// Little-endian field helpers
+// Framing
 // ---------------------------------------------------------------------------
 
 fn read_u32(data: &[u8], at: usize) -> u32 {
@@ -287,8 +686,9 @@ fn read_u64(data: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"))
 }
 
-/// FNV-1a 64-bit over a chunk payload — cheap corruption detection.
-fn fnv1a64(data: &[u8]) -> u64 {
+/// FNV-1a 64-bit checksum as used over SGEB chunk payloads — exposed so
+/// wire framings reusing the chunk encoding can carry the same checksum.
+pub fn payload_checksum(data: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &byte in data {
         hash ^= u64::from(byte);
@@ -297,142 +697,160 @@ fn fnv1a64(data: &[u8]) -> u64 {
     hash
 }
 
-/// Encodes one record into `out`, advancing the delta baseline.
-fn encode_record(out: &mut Vec<u8>, record: &EventRecord, prev_call: &mut u64) {
-    match *record {
-        EventRecord::Call {
-            parent_call,
-            call,
-            ctx,
-        } => {
-            out.push(0);
-            put_varint(out, zigzag(parent_call.as_raw().wrapping_sub(*prev_call)));
-            put_varint(out, zigzag(call.as_raw().wrapping_sub(*prev_call)));
-            put_varint(out, u64::from(ctx.0));
-            *prev_call = call.as_raw();
+/// Checks the file header: magic, version, and a known record kind —
+/// `expect`'s, when the caller reads one kind only. Returns the kind and
+/// the writer's chunk target.
+fn parse_header(header: &[u8], expect: Option<RecordKind>) -> Result<(RecordKind, u32), BinError> {
+    if header[..4] != MAGIC {
+        return Err(BinError::format(0, None, "bad magic (not an SGEB file)"));
+    }
+    let version = u16::from_le_bytes([header[4], header[5]]);
+    if version != VERSION {
+        return Err(BinError::format(
+            4,
+            None,
+            format!("unsupported version {version} (expected {VERSION})"),
+        ));
+    }
+    let kind = match u16::from_le_bytes([header[6], header[7]]) {
+        0 => RecordKind::Event,
+        1 => RecordKind::Trace,
+        other => {
+            return Err(BinError::format(
+                KIND_AT,
+                None,
+                format!("unknown record kind {other}"),
+            ))
         }
-        EventRecord::Compute { call, ctx, ops } => {
-            out.push(1);
-            put_varint(out, zigzag(call.as_raw().wrapping_sub(*prev_call)));
-            put_varint(out, u64::from(ctx.0));
-            put_varint(out, ops);
-            *prev_call = call.as_raw();
+    };
+    if let Some(expected) = expect.filter(|&expected| expected != kind) {
+        return Err(BinError::format(
+            KIND_AT,
+            None,
+            format!(
+                "expected {} records, found {} records",
+                expected.name(),
+                kind.name()
+            ),
+        ));
+    }
+    Ok((kind, read_u32(header, 8)))
+}
+
+/// The footer: where the index starts and what it must add up to.
+struct Footer {
+    index_offset: u64,
+    chunks: u64,
+    records: u64,
+}
+
+impl Footer {
+    fn to_bytes(&self) -> [u8; FOOTER_LEN] {
+        let mut out = [0u8; FOOTER_LEN];
+        out[..8].copy_from_slice(&self.index_offset.to_le_bytes());
+        out[8..16].copy_from_slice(&self.chunks.to_le_bytes());
+        out[16..24].copy_from_slice(&self.records.to_le_bytes());
+        out[24..].copy_from_slice(&END_MAGIC);
+        out
+    }
+
+    /// Parses the footer found at absolute offset `at`.
+    fn parse(footer: &[u8], at: u64) -> Result<Footer, BinError> {
+        if footer[24..] != END_MAGIC {
+            return Err(BinError::format(
+                at + 24,
+                None,
+                "bad footer magic (truncated file?)",
+            ));
         }
-        EventRecord::Transfer {
-            from_call,
-            to_call,
-            bytes,
-        } => {
-            out.push(2);
-            put_varint(out, zigzag(from_call.as_raw().wrapping_sub(*prev_call)));
-            put_varint(
-                out,
-                zigzag(to_call.as_raw().wrapping_sub(from_call.as_raw())),
-            );
-            put_varint(out, bytes);
-            *prev_call = to_call.as_raw();
-        }
+        Ok(Footer {
+            index_offset: read_u64(footer, 0),
+            chunks: read_u64(footer, 8),
+            records: read_u64(footer, 16),
+        })
     }
 }
 
-/// Decodes one record from `cursor`, advancing the delta baseline.
-fn decode_record(cursor: &mut Cursor<'_>, prev_call: &mut u64) -> Result<EventRecord, BinError> {
-    let at = cursor.offset();
-    let tag = cursor.byte()?;
-    match tag {
-        0 => {
-            let parent = prev_call.wrapping_add(unzigzag(cursor.varint()?));
-            let call = prev_call.wrapping_add(unzigzag(cursor.varint()?));
-            let ctx = cursor.ctx()?;
-            *prev_call = call;
-            Ok(EventRecord::Call {
-                parent_call: CallNumber::from_raw(parent),
-                call: CallNumber::from_raw(call),
-                ctx,
-            })
-        }
-        1 => {
-            let call = prev_call.wrapping_add(unzigzag(cursor.varint()?));
-            let ctx = cursor.ctx()?;
-            let ops = cursor.varint()?;
-            *prev_call = call;
-            Ok(EventRecord::Compute {
-                call: CallNumber::from_raw(call),
-                ctx,
-                ops,
-            })
-        }
-        2 => {
-            let from = prev_call.wrapping_add(unzigzag(cursor.varint()?));
-            let to = from.wrapping_add(unzigzag(cursor.varint()?));
-            let bytes = cursor.varint()?;
-            *prev_call = to;
-            Ok(EventRecord::Transfer {
-                from_call: CallNumber::from_raw(from),
-                to_call: CallNumber::from_raw(to),
-                bytes,
-            })
-        }
-        other => Err(BinError::format(
-            at,
-            Some(cursor.chunk),
-            format!("unknown record tag {other:#04x}"),
-        )),
+/// The one decode loop: `count` records of kind `T` from one chunk
+/// payload whose first byte sits at absolute offset `base` (in a file or
+/// on a connection). Appends them to `out` and returns the chunk's index
+/// entry (with `offset` left 0).
+fn decode_payload<T: ChunkRecord>(
+    payload: &[u8],
+    count: u32,
+    base: u64,
+    chunk: Option<usize>,
+    out: &mut Vec<T>,
+) -> Result<ChunkInfo, BinError> {
+    // The count lies outside the payload checksum. Every record takes at
+    // least one byte, so a larger count is damage: reject it before
+    // reserving room for it.
+    if count as usize > payload.len() {
+        return Err(BinError::format(
+            base,
+            chunk,
+            format!(
+                "record count {count} exceeds the payload's {} bytes",
+                payload.len()
+            ),
+        ));
     }
-}
-
-// ---------------------------------------------------------------------------
-// Standalone chunk-payload codec (wire reuse)
-// ---------------------------------------------------------------------------
-
-/// FNV-1a 64-bit checksum as used over SGEB chunk payloads — exposed so
-/// wire framings reusing the chunk encoding can carry the same checksum.
-pub fn payload_checksum(data: &[u8]) -> u64 {
-    fnv1a64(data)
-}
-
-/// Encodes `records` as one standalone SGEB chunk payload: the exact
-/// byte encoding a [`BinWriter`] would emit for a chunk holding these
-/// records (varint/zigzag-delta, per-chunk `prev_call` baseline of 0).
-pub fn encode_chunk_payload(records: &[EventRecord]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(records.len() * 8);
-    let mut prev_call = 0u64;
-    for record in records {
-        encode_record(&mut out, record, &mut prev_call);
-    }
-    out
-}
-
-/// Decodes one standalone SGEB chunk payload of exactly `records`
-/// records, as produced by [`encode_chunk_payload`] (or cut from a
-/// `.evb` file). Offsets in errors are payload-relative.
-///
-/// # Errors
-///
-/// Returns a located [`BinError`] on malformed records, a record count
-/// mismatch, or trailing payload bytes.
-pub fn decode_chunk_payload(payload: &[u8], records: u32) -> Result<Vec<EventRecord>, BinError> {
-    let mut out = Vec::with_capacity(records as usize);
+    out.reserve(count as usize);
     let mut cursor = Cursor {
         data: payload,
         pos: 0,
-        base: 0,
-        chunk: 0,
+        base,
+        chunk,
     };
-    let mut prev_call = 0u64;
-    for _ in 0..records {
-        out.push(decode_record(&mut cursor, &mut prev_call)?);
+    let mut state = T::State::default();
+    let mut info = ChunkInfo {
+        records: count,
+        ..ChunkInfo::default()
+    };
+    for _ in 0..count {
+        let record = T::decode(&mut cursor, &mut state)?;
+        record.tally(&mut info);
+        out.push(record);
     }
     if cursor.pos != payload.len() {
-        return Err(BinError::format(
+        return Err(cursor.error(
             cursor.offset(),
-            None,
             format!(
                 "{} trailing payload bytes after the last record",
                 payload.len() - cursor.pos
             ),
         ));
     }
+    Ok(info)
+}
+
+/// Encodes `records` as one standalone chunk payload: the exact bytes a
+/// [`BinWriter`] would emit for a chunk holding these records.
+pub fn encode_chunk_payload<T: ChunkRecord>(records: &[T]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(records.len() * 8);
+    let mut state = T::State::default();
+    for record in records {
+        record.encode(&mut out, &mut state);
+    }
+    out
+}
+
+/// Decodes one standalone chunk payload of exactly `records` records, as
+/// produced by [`encode_chunk_payload`] (or cut from a container).
+/// `base` is the absolute offset of the payload's first byte, so errors
+/// name the damaged byte.
+///
+/// # Errors
+///
+/// Returns a located [`BinError`] on malformed records, a record count
+/// mismatch, or trailing payload bytes.
+pub fn decode_chunk_payload<T: ChunkRecord>(
+    payload: &[u8],
+    records: u32,
+    base: u64,
+) -> Result<Vec<T>, BinError> {
+    let mut out = Vec::new();
+    decode_payload(payload, records, base, None, &mut out)?;
     Ok(out)
 }
 
@@ -441,26 +859,27 @@ pub fn decode_chunk_payload(payload: &[u8], records: u32) -> Result<Vec<EventRec
 // ---------------------------------------------------------------------------
 
 /// Streaming writer: push records one at a time; chunks flush at the
-/// configured record count and the trailer index lands on [`finish`].
+/// configured record count (or earlier, before a payload would pass
+/// [`MAX_PAYLOAD`]) and the trailer index lands on [`finish`].
 ///
 /// The encoder batches records into one reusable per-chunk buffer (the
 /// chunk-run idiom: one sink write per chunk, not per record).
 ///
 /// [`finish`]: BinWriter::finish
-pub struct BinWriter<W: Write> {
+pub struct BinWriter<W: Write, T: ChunkRecord = EventRecord> {
     sink: W,
     /// Encoded payload of the chunk in progress (reused between chunks).
     buf: Vec<u8>,
     chunk_target: usize,
     /// Records in the chunk in progress.
     pending: ChunkInfo,
-    prev_call: u64,
+    state: T::State,
     index: Vec<ChunkInfo>,
     /// Bytes written to `sink` so far.
     offset: u64,
 }
 
-impl<W: Write> BinWriter<W> {
+impl<W: Write, T: ChunkRecord> BinWriter<W, T> {
     /// Starts a file with the default chunk size. Writes the header
     /// immediately.
     ///
@@ -482,7 +901,7 @@ impl<W: Write> BinWriter<W> {
         let mut header = [0u8; HEADER_LEN];
         header[..4].copy_from_slice(&MAGIC);
         header[4..6].copy_from_slice(&VERSION.to_le_bytes());
-        // flags (6..8) reserved as zero.
+        header[6..8].copy_from_slice(&(T::KIND as u16).to_le_bytes());
         let target = u32::try_from(chunk_target.min(u32::MAX as usize)).expect("clamped");
         header[8..12].copy_from_slice(&target.to_le_bytes());
         sink.write_all(&header)?;
@@ -491,7 +910,7 @@ impl<W: Write> BinWriter<W> {
             buf: Vec::with_capacity(64 * chunk_target.min(1 << 16)),
             chunk_target,
             pending: ChunkInfo::default(),
-            prev_call: 0,
+            state: T::State::default(),
             index: Vec::new(),
             offset: HEADER_LEN as u64,
         })
@@ -501,29 +920,29 @@ impl<W: Write> BinWriter<W> {
     ///
     /// # Errors
     ///
-    /// Fails if a full chunk cannot be flushed to the sink.
-    pub fn push(&mut self, record: &EventRecord) -> io::Result<()> {
-        encode_record(&mut self.buf, record, &mut self.prev_call);
-        self.pending.records += 1;
-        match *record {
-            EventRecord::Call { .. } => self.pending.call_records += 1,
-            EventRecord::Compute { ops, .. } => self.pending.compute_ops += ops,
-            EventRecord::Transfer { bytes, .. } => self.pending.transfer_bytes += bytes,
+    /// Fails if a full chunk cannot be flushed to the sink, or if the
+    /// record alone encodes to more than [`MAX_PAYLOAD`] bytes.
+    pub fn push(&mut self, record: &T) -> io::Result<()> {
+        let start = self.buf.len();
+        record.encode(&mut self.buf, &mut self.state);
+        if self.buf.len() > MAX_PAYLOAD as usize {
+            // Readers reject a payload past MAX_PAYLOAD: end the chunk
+            // before this record and encode it afresh in the next one.
+            self.buf.truncate(start);
+            if start == 0 {
+                self.state = T::State::default();
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "one record encodes to more than a chunk payload may hold",
+                ));
+            }
+            self.flush_chunk()?;
+            return self.push(record);
         }
+        self.pending.records += 1;
+        record.tally(&mut self.pending);
         if self.pending.records as usize >= self.chunk_target {
             self.flush_chunk()?;
-        }
-        Ok(())
-    }
-
-    /// Appends every record of an in-memory event file.
-    ///
-    /// # Errors
-    ///
-    /// Fails if a full chunk cannot be flushed to the sink.
-    pub fn push_file(&mut self, events: &EventFile) -> io::Result<()> {
-        for record in events.records() {
-            self.push(record)?;
         }
         Ok(())
     }
@@ -532,16 +951,13 @@ impl<W: Write> BinWriter<W> {
         if self.pending.records == 0 {
             return Ok(());
         }
-        let payload_len = u32::try_from(self.buf.len()).expect("chunk payloads stay under 4 GiB");
-        debug_assert!(
-            payload_len <= MAX_PAYLOAD,
-            "chunk target keeps payloads small"
-        );
+        // `push` keeps the payload within MAX_PAYLOAD.
+        let payload_len = self.buf.len() as u32;
         let mut frame = [0u8; 1 + CHUNK_HEADER_LEN];
         frame[0] = TAG_CHUNK;
         frame[1..5].copy_from_slice(&self.pending.records.to_le_bytes());
         frame[5..9].copy_from_slice(&payload_len.to_le_bytes());
-        frame[9..17].copy_from_slice(&fnv1a64(&self.buf).to_le_bytes());
+        frame[9..17].copy_from_slice(&payload_checksum(&self.buf).to_le_bytes());
         self.sink.write_all(&frame)?;
         self.sink.write_all(&self.buf)?;
         self.pending.offset = self.offset;
@@ -549,7 +965,7 @@ impl<W: Write> BinWriter<W> {
         self.offset += frame.len() as u64 + u64::from(payload_len);
         self.pending = ChunkInfo::default();
         self.buf.clear();
-        self.prev_call = 0;
+        self.state = T::State::default();
         Ok(())
     }
 
@@ -561,22 +977,18 @@ impl<W: Write> BinWriter<W> {
     /// Fails if the trailer cannot be written.
     pub fn finish(mut self) -> io::Result<(BinTotals, W)> {
         self.flush_chunk()?;
-        let index_offset = self.offset;
+        let totals = BinTotals::of(&self.index);
         let mut trailer = Vec::with_capacity(1 + self.index.len() * INDEX_ENTRY_LEN + FOOTER_LEN);
         trailer.push(TAG_INDEX);
-        let mut totals = BinTotals::default();
         for info in &self.index {
-            totals.accumulate(info);
-            trailer.extend_from_slice(&info.offset.to_le_bytes());
-            trailer.extend_from_slice(&info.records.to_le_bytes());
-            trailer.extend_from_slice(&info.call_records.to_le_bytes());
-            trailer.extend_from_slice(&info.compute_ops.to_le_bytes());
-            trailer.extend_from_slice(&info.transfer_bytes.to_le_bytes());
+            trailer.extend_from_slice(&info.to_bytes());
         }
-        trailer.extend_from_slice(&index_offset.to_le_bytes());
-        trailer.extend_from_slice(&totals.chunks.to_le_bytes());
-        trailer.extend_from_slice(&totals.records.to_le_bytes());
-        trailer.extend_from_slice(&END_MAGIC);
+        let footer = Footer {
+            index_offset: self.offset,
+            chunks: totals.chunks,
+            records: totals.records,
+        };
+        trailer.extend_from_slice(&footer.to_bytes());
         self.sink.write_all(&trailer)?;
         self.sink.flush()?;
         Ok((totals, self.sink))
@@ -585,6 +997,20 @@ impl<W: Write> BinWriter<W> {
     /// Bytes written to the sink so far (excluding the unflushed chunk).
     pub fn bytes_written(&self) -> u64 {
         self.offset
+    }
+}
+
+impl<W: Write> BinWriter<W, EventRecord> {
+    /// Appends every record of an in-memory event file.
+    ///
+    /// # Errors
+    ///
+    /// Fails if a full chunk cannot be flushed to the sink.
+    pub fn push_file(&mut self, events: &EventFile) -> io::Result<()> {
+        for record in events.records() {
+            self.push(record)?;
+        }
+        Ok(())
     }
 }
 
@@ -604,40 +1030,44 @@ pub fn encode_events_chunked(events: &EventFile, chunk_records: usize) -> Vec<u8
     bytes
 }
 
-/// Decodes a whole binary event file into memory.
+/// Decodes a whole binary event file into memory: one [`ChunkStream`]
+/// pass over the slice.
 ///
 /// # Errors
 ///
 /// Returns a located [`BinError`] on any malformed byte.
 pub fn decode_events(data: &[u8]) -> Result<EventFile, BinError> {
-    BinReader::parse(data)?.to_event_file()
+    let mut stream = ChunkStream::<_, EventRecord>::new(data)?;
+    let mut records = Vec::new();
+    while let Some(chunk) = stream.next_chunk()? {
+        records.extend_from_slice(chunk);
+    }
+    Ok(EventFile::from_records(records))
 }
 
 // ---------------------------------------------------------------------------
-// Slice reader (mmap-style random access)
+// Trailer reader
 // ---------------------------------------------------------------------------
 
-/// Random-access reader over a complete in-memory (or memory-mapped)
-/// binary event file.
-///
-/// Parsing validates the header, footer, and trailer index; record
-/// payloads are only decoded on demand, chunk by chunk.
-pub struct BinReader<'a> {
-    data: &'a [u8],
+/// Reads a complete container's header and trailer — what `sigil events
+/// stat` prints — without decoding a record. Accepts either kind; records
+/// are read through [`ChunkStream`].
+pub struct BinReader {
+    kind: RecordKind,
     index: Vec<ChunkInfo>,
     totals: BinTotals,
     /// Records per chunk the writer was configured with.
     chunk_target: u32,
 }
 
-impl<'a> BinReader<'a> {
-    /// Parses the framing of a complete binary event file.
+impl BinReader {
+    /// Parses the framing of a complete container.
     ///
     /// # Errors
     ///
-    /// Returns a located [`BinError`] if the header, footer, or index is
-    /// malformed.
-    pub fn parse(data: &'a [u8]) -> Result<Self, BinError> {
+    /// Returns a located [`BinError`] if the header, footer, index, or a
+    /// chunk header the index points at is malformed.
+    pub fn parse(data: &[u8]) -> Result<Self, BinError> {
         if data.len() < HEADER_LEN + 1 + FOOTER_LEN {
             return Err(BinError::format(
                 0,
@@ -648,37 +1078,17 @@ impl<'a> BinReader<'a> {
                 ),
             ));
         }
-        if data[..4] != MAGIC {
-            return Err(BinError::format(0, None, "bad magic (not an SGEB file)"));
-        }
-        let version = u16::from_le_bytes([data[4], data[5]]);
-        if version != VERSION {
-            return Err(BinError::format(
-                4,
-                None,
-                format!("unsupported version {version} (expected {VERSION})"),
-            ));
-        }
-        let chunk_target = read_u32(data, 8);
+        let (kind, chunk_target) = parse_header(&data[..HEADER_LEN], None)?;
         let footer_at = data.len() - FOOTER_LEN;
-        if data[footer_at + 24..] != END_MAGIC {
-            return Err(BinError::format(
-                (footer_at + 24) as u64,
-                None,
-                "bad footer magic (truncated file?)",
-            ));
-        }
-        let index_offset = read_u64(data, footer_at);
-        let chunk_count = read_u64(data, footer_at + 8);
-        let total_records = read_u64(data, footer_at + 16);
-        let index_at = usize::try_from(index_offset)
+        let footer = Footer::parse(&data[footer_at..], footer_at as u64)?;
+        let index_at = usize::try_from(footer.index_offset)
             .ok()
             .filter(|&at| at >= HEADER_LEN && at < footer_at)
             .ok_or_else(|| {
                 BinError::format(
                     footer_at as u64,
                     None,
-                    format!("index offset {index_offset} out of bounds"),
+                    format!("index offset {} out of bounds", footer.index_offset),
                 )
             })?;
         if data[index_at] != TAG_INDEX {
@@ -688,84 +1098,52 @@ impl<'a> BinReader<'a> {
                 "index offset does not point at an index tag",
             ));
         }
-        let entries = chunk_count as usize;
-        let need = entries
-            .checked_mul(INDEX_ENTRY_LEN)
-            .map(|n| n + index_at + 1)
-            .filter(|&end| end == footer_at)
-            .ok_or_else(|| {
-                BinError::format(
-                    index_at as u64,
-                    None,
-                    format!("index length does not match {chunk_count} chunks"),
-                )
-            })?;
-        debug_assert_eq!(need, footer_at);
-        let mut index = Vec::with_capacity(entries);
-        let mut totals = BinTotals::default();
+        let entries = &data[index_at + 1..footer_at];
+        if footer.chunks.checked_mul(INDEX_ENTRY_LEN as u64) != Some(entries.len() as u64) {
+            return Err(BinError::format(
+                index_at as u64,
+                None,
+                format!("index length does not match {} chunks", footer.chunks),
+            ));
+        }
+        let index: Vec<ChunkInfo> = entries
+            .chunks_exact(INDEX_ENTRY_LEN)
+            .map(ChunkInfo::from_bytes)
+            .collect();
+        // Each entry must point at a chunk header that agrees with it,
+        // and the chunks must tile the bytes between header and index.
         let mut expect_offset = HEADER_LEN as u64;
-        for i in 0..entries {
-            let at = index_at + 1 + i * INDEX_ENTRY_LEN;
-            let info = ChunkInfo {
-                offset: read_u64(data, at),
-                records: read_u32(data, at + 8),
-                call_records: read_u32(data, at + 12),
-                compute_ops: read_u64(data, at + 16),
-                transfer_bytes: read_u64(data, at + 24),
-            };
+        for (i, info) in index.iter().enumerate() {
+            let located = |message: String| BinError::format(info.offset, Some(i), message);
             if info.offset != expect_offset {
-                return Err(BinError::format(
-                    at as u64,
-                    Some(i),
-                    format!(
-                        "index offset {} disagrees with chunk layout (expected {expect_offset})",
-                        info.offset
-                    ),
+                return Err(located(format!(
+                    "index offset {} disagrees with chunk layout (expected {expect_offset})",
+                    info.offset
+                )));
+            }
+            let at = info.offset as usize;
+            if at + 1 + CHUNK_HEADER_LEN > index_at {
+                return Err(located("chunk header out of bounds".to_owned()));
+            }
+            if data[at] != TAG_CHUNK {
+                return Err(located(
+                    "chunk offset does not point at a chunk tag".to_owned(),
                 ));
             }
-            let header_at = usize::try_from(info.offset)
-                .ok()
-                .filter(|&o| o + 1 + CHUNK_HEADER_LEN <= index_at)
-                .ok_or_else(|| {
-                    BinError::format(info.offset, Some(i), "chunk header out of bounds")
-                })?;
-            if data[header_at] != TAG_CHUNK {
-                return Err(BinError::format(
-                    info.offset,
-                    Some(i),
-                    "chunk offset does not point at a chunk tag",
-                ));
-            }
-            let records = read_u32(data, header_at + 1);
-            let payload_len = read_u32(data, header_at + 5);
+            let records = read_u32(data, at + 1);
             if records != info.records {
-                return Err(BinError::format(
-                    info.offset,
-                    Some(i),
-                    format!(
-                        "chunk header record count {records} disagrees with index ({})",
-                        info.records
-                    ),
-                ));
+                return Err(located(format!(
+                    "chunk header record count {records} disagrees with index ({})",
+                    info.records
+                )));
             }
-            if payload_len > MAX_PAYLOAD {
-                return Err(BinError::format(
-                    info.offset,
-                    Some(i),
-                    format!("chunk payload length {payload_len} exceeds limit"),
-                ));
-            }
-            let end = header_at + 1 + CHUNK_HEADER_LEN + payload_len as usize;
+            let end = at + 1 + CHUNK_HEADER_LEN + read_u32(data, at + 5) as usize;
             if end > index_at {
-                return Err(BinError::format(
-                    info.offset,
-                    Some(i),
-                    "chunk payload overruns the trailer index",
+                return Err(located(
+                    "chunk payload overruns the trailer index".to_owned(),
                 ));
             }
             expect_offset = end as u64;
-            totals.accumulate(&info);
-            index.push(info);
         }
         if expect_offset != index_at as u64 {
             return Err(BinError::format(
@@ -774,22 +1152,28 @@ impl<'a> BinReader<'a> {
                 "gap between last chunk and trailer index",
             ));
         }
-        if totals.records != total_records {
+        let totals = BinTotals::of(&index);
+        if totals.records != footer.records {
             return Err(BinError::format(
                 (footer_at + 16) as u64,
                 None,
                 format!(
-                    "footer total {total_records} disagrees with index sum {}",
-                    totals.records
+                    "footer total {} disagrees with index sum {}",
+                    footer.records, totals.records
                 ),
             ));
         }
         Ok(BinReader {
-            data,
+            kind,
             index,
             totals,
             chunk_target,
         })
+    }
+
+    /// The record kind the container holds.
+    pub fn kind(&self) -> RecordKind {
+        self.kind
     }
 
     /// Number of chunks.
@@ -811,203 +1195,41 @@ impl<'a> BinReader<'a> {
     pub fn chunk_target(&self) -> u32 {
         self.chunk_target
     }
-
-    /// The raw payload slice of chunk `i` (checksum not yet verified).
-    fn payload(&self, i: usize) -> Result<(&'a [u8], u64), BinError> {
-        let info = self.index[i];
-        let header_at = info.offset as usize;
-        let payload_len = read_u32(self.data, header_at + 5) as usize;
-        let start = header_at + 1 + CHUNK_HEADER_LEN;
-        let payload = &self.data[start..start + payload_len];
-        let checksum = read_u64(self.data, header_at + 9);
-        if fnv1a64(payload) != checksum {
-            return Err(BinError::format(
-                info.offset,
-                Some(i),
-                "chunk checksum mismatch (corrupted payload)",
-            ));
-        }
-        Ok((payload, start as u64))
-    }
-
-    /// Decodes chunk `i` into `out` (cleared first). The buffer can be
-    /// reused across chunks so peak memory stays bounded by one chunk.
-    ///
-    /// # Errors
-    ///
-    /// Returns a located [`BinError`] on checksum mismatch or malformed
-    /// records.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= self.chunk_count()`.
-    pub fn decode_chunk_into(&self, i: usize, out: &mut Vec<EventRecord>) -> Result<(), BinError> {
-        out.clear();
-        let info = self.index[i];
-        let (payload, base) = self.payload(i)?;
-        out.reserve(info.records as usize);
-        let mut cursor = Cursor {
-            data: payload,
-            pos: 0,
-            base,
-            chunk: i,
-        };
-        let mut prev_call = 0u64;
-        for _ in 0..info.records {
-            out.push(decode_record(&mut cursor, &mut prev_call)?);
-        }
-        if cursor.pos != payload.len() {
-            return Err(BinError::format(
-                cursor.offset(),
-                Some(i),
-                format!(
-                    "{} trailing payload bytes after the last record",
-                    payload.len() - cursor.pos
-                ),
-            ));
-        }
-        Ok(())
-    }
-
-    /// Streams every record, decoding lazily one chunk at a time.
-    pub fn records(&self) -> Records<'a, '_> {
-        Records {
-            reader: self,
-            chunk: 0,
-            cursor: None,
-            remaining: 0,
-            prev_call: 0,
-            failed: false,
-        }
-    }
-
-    /// Decodes the whole file into an in-memory [`EventFile`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a located [`BinError`] on any malformed chunk.
-    pub fn to_event_file(&self) -> Result<EventFile, BinError> {
-        let mut records = Vec::with_capacity(usize::try_from(self.totals.records).unwrap_or(0));
-        for result in self.records() {
-            records.push(result?);
-        }
-        Ok(EventFile::from_records(records))
-    }
-
-    /// Fully decodes every chunk and checks the per-chunk index entries
-    /// and footer totals against the actual records.
-    ///
-    /// # Errors
-    ///
-    /// Returns a located [`BinError`] on any disagreement.
-    pub fn verify(&self) -> Result<BinTotals, BinError> {
-        let mut buf = Vec::new();
-        for (i, info) in self.index.iter().enumerate() {
-            self.decode_chunk_into(i, &mut buf)?;
-            let mut scanned = ChunkInfo {
-                offset: info.offset,
-                ..ChunkInfo::default()
-            };
-            for record in &buf {
-                scanned.records += 1;
-                match *record {
-                    EventRecord::Call { .. } => scanned.call_records += 1,
-                    EventRecord::Compute { ops, .. } => scanned.compute_ops += ops,
-                    EventRecord::Transfer { bytes, .. } => scanned.transfer_bytes += bytes,
-                }
-            }
-            if scanned != *info {
-                return Err(BinError::format(
-                    info.offset,
-                    Some(i),
-                    format!("index entry {info:?} disagrees with scanned {scanned:?}"),
-                ));
-            }
-        }
-        Ok(self.totals)
-    }
-}
-
-/// Streaming record iterator over a [`BinReader`].
-pub struct Records<'a, 'r> {
-    reader: &'r BinReader<'a>,
-    chunk: usize,
-    cursor: Option<Cursor<'a>>,
-    remaining: u32,
-    prev_call: u64,
-    failed: bool,
-}
-
-impl Iterator for Records<'_, '_> {
-    type Item = Result<EventRecord, BinError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        while self.remaining == 0 {
-            if self.chunk >= self.reader.chunk_count() {
-                return None;
-            }
-            let info = self.reader.index[self.chunk];
-            match self.reader.payload(self.chunk) {
-                Ok((payload, base)) => {
-                    self.cursor = Some(Cursor {
-                        data: payload,
-                        pos: 0,
-                        base,
-                        chunk: self.chunk,
-                    });
-                    self.remaining = info.records;
-                    self.prev_call = 0;
-                    self.chunk += 1;
-                }
-                Err(e) => {
-                    self.failed = true;
-                    return Some(Err(e));
-                }
-            }
-        }
-        let cursor = self.cursor.as_mut().expect("cursor set with remaining > 0");
-        self.remaining -= 1;
-        match decode_record(cursor, &mut self.prev_call) {
-            Ok(record) => {
-                if self.remaining == 0 && cursor.pos != cursor.data.len() {
-                    self.failed = true;
-                    let err = BinError::format(
-                        cursor.offset(),
-                        Some(self.chunk - 1),
-                        format!(
-                            "{} trailing payload bytes after the last record",
-                            cursor.data.len() - cursor.pos
-                        ),
-                    );
-                    return Some(Err(err));
-                }
-                Some(Ok(record))
-            }
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
-// Sequential file stream (bounded memory)
+// Sequential stream: the decoder
 // ---------------------------------------------------------------------------
 
-/// Sequential reader over any `Read` source: decodes one chunk at a time
-/// into a reusable buffer, so peak memory is bounded by one chunk
-/// regardless of trace length. On reaching the trailer it validates the
-/// index and footer against everything streamed.
-pub struct ChunkStream<R: Read> {
+/// Reads exactly `buf.len()` bytes, turning a short read into a located
+/// error.
+fn read_located<R: Read>(
+    source: &mut R,
+    buf: &mut [u8],
+    at: u64,
+    chunk: Option<usize>,
+    what: &str,
+) -> Result<(), BinError> {
+    source.read_exact(buf).map_err(|e| {
+        if e.kind() == io::ErrorKind::UnexpectedEof {
+            BinError::format(at, chunk, what)
+        } else {
+            BinError::Io(e)
+        }
+    })
+}
+
+/// Sequential reader over any `Read` source, and the container's only
+/// decoder: decodes one chunk at a time into a reusable buffer, so peak
+/// memory is bounded by one chunk regardless of trace length. On reaching
+/// the trailer it checks every index entry and the footer against what
+/// it streamed, and that the input ends there.
+pub struct ChunkStream<R: Read, T: ChunkRecord = EventRecord> {
     source: R,
     /// Reusable payload buffer.
     payload: Vec<u8>,
     /// Reusable decoded-records buffer.
-    records: Vec<EventRecord>,
+    records: Vec<T>,
     /// Per-chunk info accumulated while streaming (checked against the
     /// trailer index).
     seen: Vec<ChunkInfo>,
@@ -1015,32 +1237,23 @@ pub struct ChunkStream<R: Read> {
     done: bool,
 }
 
-impl<R: Read> ChunkStream<R> {
+impl<R: Read, T: ChunkRecord> ChunkStream<R, T> {
     /// Opens a stream, reading and validating the file header.
     ///
     /// # Errors
     ///
-    /// Returns a located [`BinError`] if the header is malformed.
+    /// Returns a located [`BinError`] if the header is malformed or names
+    /// the other record kind.
     pub fn new(mut source: R) -> Result<Self, BinError> {
         let mut header = [0u8; HEADER_LEN];
-        source.read_exact(&mut header).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                BinError::format(0, None, "file too short for an SGEB header")
-            } else {
-                BinError::Io(e)
-            }
-        })?;
-        if header[..4] != MAGIC {
-            return Err(BinError::format(0, None, "bad magic (not an SGEB file)"));
-        }
-        let version = u16::from_le_bytes([header[4], header[5]]);
-        if version != VERSION {
-            return Err(BinError::format(
-                4,
-                None,
-                format!("unsupported version {version} (expected {VERSION})"),
-            ));
-        }
+        read_located(
+            &mut source,
+            &mut header,
+            0,
+            None,
+            "file too short for an SGEB header",
+        )?;
+        parse_header(&header, Some(T::KIND))?;
         Ok(ChunkStream {
             source,
             payload: Vec::new(),
@@ -1059,19 +1272,20 @@ impl<R: Read> ChunkStream<R> {
     /// Returns a located [`BinError`] on I/O failure, corruption, or a
     /// trailer that disagrees with the streamed chunks.
     #[allow(clippy::should_implement_trait)] // lending iterator: items borrow self
-    pub fn next_chunk(&mut self) -> Result<Option<&[EventRecord]>, BinError> {
+    pub fn next_chunk(&mut self) -> Result<Option<&[T]>, BinError> {
         if self.done {
             return Ok(None);
         }
         let chunk_at = self.offset;
+        let chunk = self.seen.len();
         let mut tag = [0u8; 1];
-        self.source.read_exact(&mut tag).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                BinError::format(chunk_at, None, "truncated file: missing trailer index")
-            } else {
-                BinError::Io(e)
-            }
-        })?;
+        read_located(
+            &mut self.source,
+            &mut tag,
+            chunk_at,
+            None,
+            "truncated file: missing trailer index",
+        )?;
         match tag[0] {
             TAG_CHUNK => {}
             TAG_INDEX => {
@@ -1082,17 +1296,21 @@ impl<R: Read> ChunkStream<R> {
             other => {
                 return Err(BinError::format(
                     chunk_at,
-                    Some(self.seen.len()),
+                    Some(chunk),
                     format!("expected a chunk or index tag, found {other:#04x}"),
                 ));
             }
         }
-        let chunk = self.seen.len();
         let mut header = [0u8; CHUNK_HEADER_LEN];
-        self.read_fully(&mut header, chunk_at, chunk)?;
+        read_located(
+            &mut self.source,
+            &mut header,
+            chunk_at,
+            Some(chunk),
+            "truncated chunk",
+        )?;
         let records = read_u32(&header, 0);
         let payload_len = read_u32(&header, 4);
-        let checksum = read_u64(&header, 8);
         if payload_len > MAX_PAYLOAD {
             return Err(BinError::format(
                 chunk_at,
@@ -1101,11 +1319,14 @@ impl<R: Read> ChunkStream<R> {
             ));
         }
         self.payload.resize(payload_len as usize, 0);
-        let mut payload = std::mem::take(&mut self.payload);
-        let read = self.read_fully(&mut payload, chunk_at, chunk);
-        self.payload = payload;
-        read?;
-        if fnv1a64(&self.payload) != checksum {
+        read_located(
+            &mut self.source,
+            &mut self.payload,
+            chunk_at,
+            Some(chunk),
+            "truncated chunk",
+        )?;
+        if payload_checksum(&self.payload) != read_u64(&header, 8) {
             return Err(BinError::format(
                 chunk_at,
                 Some(chunk),
@@ -1113,122 +1334,84 @@ impl<R: Read> ChunkStream<R> {
             ));
         }
         self.records.clear();
-        self.records.reserve(records as usize);
-        let mut cursor = Cursor {
-            data: &self.payload,
-            pos: 0,
-            base: chunk_at + 1 + CHUNK_HEADER_LEN as u64,
-            chunk,
-        };
-        let mut info = ChunkInfo {
+        let base = chunk_at + 1 + CHUNK_HEADER_LEN as u64;
+        let info = decode_payload(&self.payload, records, base, Some(chunk), &mut self.records)?;
+        self.seen.push(ChunkInfo {
             offset: chunk_at,
-            ..ChunkInfo::default()
-        };
-        let mut prev_call = 0u64;
-        for _ in 0..records {
-            let record = decode_record(&mut cursor, &mut prev_call)?;
-            info.records += 1;
-            match record {
-                EventRecord::Call { .. } => info.call_records += 1,
-                EventRecord::Compute { ops, .. } => info.compute_ops += ops,
-                EventRecord::Transfer { bytes, .. } => info.transfer_bytes += bytes,
-            }
-            self.records.push(record);
-        }
-        if cursor.pos != self.payload.len() {
-            return Err(BinError::format(
-                cursor.offset(),
-                Some(chunk),
-                format!(
-                    "{} trailing payload bytes after the last record",
-                    self.payload.len() - cursor.pos
-                ),
-            ));
-        }
-        self.seen.push(info);
-        self.offset = chunk_at + 1 + CHUNK_HEADER_LEN as u64 + u64::from(payload_len);
+            ..info
+        });
+        self.offset = base + u64::from(payload_len);
         Ok(Some(&self.records))
     }
 
-    fn read_fully(&mut self, buf: &mut [u8], chunk_at: u64, chunk: usize) -> Result<(), BinError> {
-        self.source.read_exact(buf).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                BinError::format(chunk_at, Some(chunk), "truncated chunk")
-            } else {
-                BinError::Io(e)
-            }
-        })
-    }
-
     /// Reads the trailer index + footer and checks them against every
-    /// streamed chunk — the "trailer totals match a full scan" contract.
+    /// streamed chunk — the "trailer totals match a full scan" contract —
+    /// then requires the input to end after the footer.
     fn validate_trailer(&mut self) -> Result<(), BinError> {
         let index_at = self.offset;
-        let mut totals = BinTotals::default();
+        let mut entry = [0u8; INDEX_ENTRY_LEN];
         for (i, info) in self.seen.iter().enumerate() {
-            let mut entry = [0u8; INDEX_ENTRY_LEN];
-            self.source.read_exact(&mut entry).map_err(|e| {
-                if e.kind() == io::ErrorKind::UnexpectedEof {
-                    BinError::format(index_at, None, "truncated trailer index")
-                } else {
-                    BinError::Io(e)
-                }
-            })?;
-            let stored = ChunkInfo {
-                offset: read_u64(&entry, 0),
-                records: read_u32(&entry, 8),
-                call_records: read_u32(&entry, 12),
-                compute_ops: read_u64(&entry, 16),
-                transfer_bytes: read_u64(&entry, 24),
-            };
+            let at = index_at + 1 + (i * INDEX_ENTRY_LEN) as u64;
+            read_located(
+                &mut self.source,
+                &mut entry,
+                at,
+                None,
+                "truncated trailer index",
+            )?;
+            let stored = ChunkInfo::from_bytes(&entry);
             if stored != *info {
                 return Err(BinError::format(
-                    index_at,
+                    at,
                     Some(i),
                     format!("index entry {stored:?} disagrees with streamed chunk {info:?}"),
                 ));
             }
-            totals.accumulate(&stored);
         }
+        let footer_at = index_at + 1 + (self.seen.len() * INDEX_ENTRY_LEN) as u64;
         let mut footer = [0u8; FOOTER_LEN];
-        self.source.read_exact(&mut footer).map_err(|e| {
-            if e.kind() == io::ErrorKind::UnexpectedEof {
-                BinError::format(index_at, None, "truncated footer")
-            } else {
-                BinError::Io(e)
-            }
-        })?;
-        if footer[24..] != END_MAGIC {
-            return Err(BinError::format(index_at, None, "bad footer magic"));
-        }
-        let index_offset = read_u64(&footer, 0);
-        let chunk_count = read_u64(&footer, 8);
-        let total_records = read_u64(&footer, 16);
-        if index_offset != index_at
-            || chunk_count != totals.chunks
-            || total_records != totals.records
+        read_located(
+            &mut self.source,
+            &mut footer,
+            footer_at,
+            None,
+            "truncated footer",
+        )?;
+        let footer = Footer::parse(&footer, footer_at)?;
+        let totals = self.totals();
+        if footer.index_offset != index_at
+            || footer.chunks != totals.chunks
+            || footer.records != totals.records
         {
             return Err(BinError::format(
-                index_at,
+                footer_at,
                 None,
                 format!(
-                    "footer (index {index_offset}, {chunk_count} chunks, {total_records} records) \
-                     disagrees with streamed totals (index {index_at}, {} chunks, {} records)",
-                    totals.chunks, totals.records
+                    "footer (index {}, {} chunks, {} records) disagrees with streamed totals \
+                     (index {index_at}, {} chunks, {} records)",
+                    footer.index_offset,
+                    footer.chunks,
+                    footer.records,
+                    totals.chunks,
+                    totals.records
                 ),
             ));
         }
-        Ok(())
+        match self.source.read_exact(&mut [0u8; 1]) {
+            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => Ok(()),
+            Ok(()) => Err(BinError::format(
+                footer_at + FOOTER_LEN as u64,
+                None,
+                "bytes after the footer",
+            )),
+            Err(e) => Err(BinError::Io(e)),
+        }
     }
 
     /// Streamed totals so far (complete once `next_chunk` returned
     /// `None`).
     pub fn totals(&self) -> BinTotals {
-        let mut totals = BinTotals::default();
-        for info in &self.seen {
-            totals.accumulate(info);
-        }
-        totals
+        BinTotals::of(&self.seen)
     }
 
     /// Drives the stream to completion, applying `f` to every record.
@@ -1236,7 +1419,7 @@ impl<R: Read> ChunkStream<R> {
     /// # Errors
     ///
     /// Returns the first decode/trailer error.
-    pub fn for_each<F: FnMut(&EventRecord)>(mut self, mut f: F) -> Result<BinTotals, BinError> {
+    pub fn for_each<F: FnMut(&T)>(mut self, mut f: F) -> Result<BinTotals, BinError> {
         while let Some(records) = self.next_chunk()? {
             for record in records {
                 f(record);
@@ -1249,6 +1432,7 @@ impl<R: Read> ChunkStream<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sigil_callgrind::ContextId;
 
     fn call(n: u64) -> CallNumber {
         CallNumber::from_raw(n)
@@ -1266,6 +1450,48 @@ mod tests {
         f
     }
 
+    /// One symbol and each of the nine event kinds.
+    fn trace_sample() -> Vec<TraceRecord> {
+        let f = FunctionId::from_raw(0);
+        let access = MemAccess::new(0x1122_3344_5566_7788, 8);
+        let mut records = vec![TraceRecord::Sym {
+            id: 0,
+            name: "main".to_owned(),
+        }];
+        records.extend(
+            [
+                RuntimeEvent::Call { callee: f },
+                RuntimeEvent::Read { access },
+                RuntimeEvent::Write { access },
+                RuntimeEvent::Op {
+                    class: OpClass::FloatArith,
+                    count: 1000,
+                },
+                RuntimeEvent::Branch {
+                    site: 0x42,
+                    taken: true,
+                },
+                RuntimeEvent::SyscallEnter { name: f },
+                RuntimeEvent::SyscallExit,
+                RuntimeEvent::ThreadSwitch {
+                    thread: ThreadId::from_raw(3),
+                },
+                RuntimeEvent::Return,
+            ]
+            .map(TraceRecord::Event),
+        );
+        records
+    }
+
+    fn stream_all<T: ChunkRecord + Clone>(bytes: &[u8]) -> Result<Vec<T>, BinError> {
+        let mut stream = ChunkStream::<_, T>::new(bytes)?;
+        let mut all = Vec::new();
+        while let Some(records) = stream.next_chunk()? {
+            all.extend_from_slice(records);
+        }
+        Ok(all)
+    }
+
     #[test]
     fn varint_and_zigzag_round_trip() {
         for value in [0u64, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
@@ -1275,7 +1501,7 @@ mod tests {
                 data: &buf,
                 pos: 0,
                 base: 0,
-                chunk: 0,
+                chunk: None,
             };
             assert_eq!(cursor.varint().expect("valid"), value);
             assert_eq!(cursor.pos, buf.len());
@@ -1296,11 +1522,74 @@ mod tests {
         assert_eq!(&bytes[chunk_start..chunk_start + payload.len()], &payload);
         let stored_checksum = read_u64(&bytes, HEADER_LEN + 9);
         assert_eq!(payload_checksum(&payload), stored_checksum);
-        let decoded = decode_chunk_payload(&payload, file.len() as u32).expect("standalone decode");
+        let decoded: Vec<EventRecord> =
+            decode_chunk_payload(&payload, file.len() as u32, 0).expect("standalone decode");
         assert_eq!(decoded.as_slice(), file.records());
         // Count mismatches and trailing bytes are located errors.
-        assert!(decode_chunk_payload(&payload, file.len() as u32 + 1).is_err());
-        assert!(decode_chunk_payload(&payload, file.len() as u32 - 1).is_err());
+        let n = file.len() as u32;
+        assert!(decode_chunk_payload::<EventRecord>(&payload, n + 1, 0).is_err());
+        assert!(decode_chunk_payload::<EventRecord>(&payload, n - 1, 0).is_err());
+    }
+
+    #[test]
+    fn trace_payload_bytes_are_pinned() {
+        // The trace-session CHUNK payload of WIRE_VERSION 1, byte for byte.
+        let golden: &[u8] = &[
+            0x00, 0, 0, 0, 0, 4, 0, 0, 0, b'm', b'a', b'i', b'n', // Sym 0 "main"
+            0x01, 0, 0, 0, 0, // Call 0
+            0x03, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, 8, 0, 0, 0, // Read
+            0x04, 0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11, 8, 0, 0, 0, // Write
+            0x05, 2, 0xe8, 0x03, 0, 0, // Op flop 1000
+            0x06, 1, 0x42, 0, 0, 0, 0, 0, 0, 0, // Branch taken 0x42
+            0x07, 0, 0, 0, 0,    // SyscallEnter 0
+            0x08, // SyscallExit
+            0x09, 3, 0, 0, 0,    // ThreadSwitch 3
+            0x02, // Return
+        ];
+        let records = trace_sample();
+        assert_eq!(encode_chunk_payload(&records), golden);
+        let decoded: Vec<TraceRecord> =
+            decode_chunk_payload(golden, records.len() as u32, 0).expect("decodes");
+        assert_eq!(decoded, records);
+    }
+
+    #[test]
+    fn apply_interns_symbols_in_order() {
+        use sigil_trace::observer::CountingObserver;
+        let records = trace_sample();
+        let mut symbols = SymbolTable::new();
+        let mut counts = CountingObserver::new();
+        let events = TraceRecord::apply(&records, &mut symbols, &mut counts).expect("in order");
+        assert_eq!(events, records.len() as u64 - 1);
+        assert_eq!(symbols.get_name(FunctionId::from_raw(0)), Some("main"));
+        // A name defined twice, or an id out of order, names its record.
+        let dup = TraceRecord::Sym {
+            id: 1,
+            name: "main".to_owned(),
+        };
+        let err = TraceRecord::apply(&[dup], &mut symbols, &mut counts).expect_err("dup");
+        assert!(err.starts_with("record 0:"), "{err}");
+    }
+
+    #[test]
+    fn the_other_kind_is_rejected_at_byte_6() {
+        let evb = encode_events(&sample());
+        let mut writer = BinWriter::new(Vec::new()).expect("vec");
+        writer.push(&trace_sample()[0]).expect("vec");
+        let (_, sgtr) = writer.finish().expect("vec");
+        for err in [
+            ChunkStream::<_, TraceRecord>::new(evb.as_slice()).err(),
+            ChunkStream::<_, EventRecord>::new(sgtr.as_slice()).err(),
+        ] {
+            let Some(BinError::Format {
+                offset, message, ..
+            }) = err
+            else {
+                panic!("expected a format error, got {err:?}");
+            };
+            assert_eq!(offset, 6);
+            assert!(message.contains("expected"), "{message}");
+        }
     }
 
     #[test]
@@ -1318,7 +1607,15 @@ mod tests {
         let reader = BinReader::parse(&bytes).expect("valid file");
         assert_eq!(reader.chunk_count(), 0);
         assert_eq!(reader.totals().records, 0);
-        assert_eq!(reader.to_event_file().expect("decodes"), file);
+        assert_eq!(decode_events(&bytes).expect("decodes"), file);
+        let (_, empty_trace) = BinWriter::<_, TraceRecord>::new(Vec::new())
+            .expect("vec")
+            .finish()
+            .expect("vec");
+        assert_eq!(
+            stream_all::<TraceRecord>(&empty_trace).expect("decodes"),
+            []
+        );
     }
 
     #[test]
@@ -1327,15 +1624,12 @@ mod tests {
         let bytes = encode_events_chunked(&file, 2);
         let reader = BinReader::parse(&bytes).expect("valid file");
         assert_eq!(reader.chunk_count(), file.len().div_ceil(2));
-        assert_eq!(reader.to_event_file().expect("decodes"), file);
         // Each chunk decodes on its own (delta baseline resets).
-        let mut buf = Vec::new();
-        let mut all = Vec::new();
-        for i in 0..reader.chunk_count() {
-            reader
-                .decode_chunk_into(i, &mut buf)
-                .expect("chunk decodes");
-            all.extend_from_slice(&buf);
+        let mut stream = ChunkStream::new(bytes.as_slice()).expect("valid header");
+        let mut all: Vec<EventRecord> = Vec::new();
+        while let Some(records) = stream.next_chunk().expect("chunk decodes") {
+            assert!(records.len() <= 2);
+            all.extend_from_slice(records);
         }
         assert_eq!(all.as_slice(), file.records());
     }
@@ -1345,7 +1639,11 @@ mod tests {
         let file = sample();
         let bytes = encode_events_chunked(&file, 3);
         let reader = BinReader::parse(&bytes).expect("valid file");
-        let totals = reader.verify().expect("index consistent");
+        let totals = ChunkStream::new(bytes.as_slice())
+            .expect("valid header")
+            .for_each(|_: &EventRecord| {})
+            .expect("index consistent");
+        assert_eq!(totals, reader.totals());
         assert_eq!(totals.records, file.len() as u64);
         assert_eq!(totals.compute_ops, file.total_ops());
         assert_eq!(totals.transfer_bytes, file.total_transfer_bytes());
@@ -1362,13 +1660,16 @@ mod tests {
     fn chunk_stream_matches_slice_reader() {
         let file = sample();
         let bytes = encode_events_chunked(&file, 2);
-        let mut stream = ChunkStream::new(bytes.as_slice()).expect("valid header");
+        let mut stream = ChunkStream::<_, EventRecord>::new(bytes.as_slice()).expect("header");
         let mut streamed = Vec::new();
         while let Some(records) = stream.next_chunk().expect("clean chunks") {
             streamed.extend_from_slice(records);
         }
         assert_eq!(streamed.as_slice(), file.records());
-        assert_eq!(stream.totals().records, file.len() as u64);
+        assert_eq!(
+            stream.totals(),
+            BinReader::parse(&bytes).expect("valid").totals()
+        );
         // Second call after the trailer stays None.
         assert!(stream.next_chunk().expect("done").is_none());
     }
@@ -1380,7 +1681,7 @@ mod tests {
             let truncated = &bytes[..cut];
             assert!(BinReader::parse(truncated).is_err(), "cut at {cut}");
             let mut decoded = 0usize;
-            match ChunkStream::new(truncated) {
+            match ChunkStream::<_, EventRecord>::new(truncated) {
                 Err(_) => {}
                 Ok(mut stream) => loop {
                     match stream.next_chunk() {
@@ -1403,13 +1704,82 @@ mod tests {
         // Flip one byte inside the first chunk's payload.
         let at = HEADER_LEN + 1 + CHUNK_HEADER_LEN;
         bytes[at] ^= 0x40;
-        let reader = BinReader::parse(&bytes).expect("framing intact");
-        let err = reader.to_event_file().expect_err("checksum must trip");
+        BinReader::parse(&bytes).expect("framing intact");
+        let err = decode_events(&bytes).expect_err("checksum must trip");
         let BinError::Format { chunk, message, .. } = err else {
             panic!("expected format error");
         };
         assert_eq!(chunk, Some(0));
         assert!(message.contains("checksum"), "{message}");
+    }
+
+    #[test]
+    fn every_record_count_bit_flip_is_located() {
+        let bytes = encode_events_chunked(&sample(), 64);
+        // The first chunk's record count sits right after its tag byte,
+        // outside the payload checksum.
+        let count_at = HEADER_LEN + 1;
+        for bit in 0..32 {
+            let mut flipped = bytes.clone();
+            flipped[count_at + bit / 8] ^= 1 << (bit % 8);
+            let err = stream_all::<EventRecord>(&flipped).expect_err("flip must be caught");
+            let BinError::Format { offset, .. } = err else {
+                panic!("bit {bit}: expected a format error, got {err}");
+            };
+            assert!(offset < bytes.len() as u64, "bit {bit}: offset {offset}");
+        }
+    }
+
+    #[test]
+    fn bytes_after_the_footer_are_rejected() {
+        let mut bytes = encode_events(&sample());
+        let end = bytes.len() as u64;
+        bytes.extend_from_slice(&[0u8; 8]);
+        let err = stream_all::<EventRecord>(&bytes).expect_err("trailing bytes");
+        let BinError::Format {
+            offset, message, ..
+        } = err
+        else {
+            panic!("expected a format error");
+        };
+        assert_eq!(offset, end);
+        assert!(message.contains("after the footer"), "{message}");
+        assert!(decode_events(&bytes).is_err());
+    }
+
+    #[test]
+    fn writer_never_emits_a_payload_past_the_limit() {
+        // Transfers whose three varints each take 10 bytes: 2.5M of them
+        // pass 64 MiB in one chunk unless the writer splits it.
+        let record = |i: u64| {
+            let from = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1 << 63;
+            EventRecord::Transfer {
+                from_call: call(from),
+                to_call: call(!from),
+                bytes: u64::MAX - i,
+            }
+        };
+        let n = 2_500_000u64;
+        let mut writer = BinWriter::with_chunk_records(Vec::new(), usize::MAX).expect("vec");
+        for i in 0..n {
+            writer.push(&record(i)).expect("vec");
+        }
+        let (totals, bytes) = writer.finish().expect("vec");
+        assert!(
+            bytes.len() > MAX_PAYLOAD as usize,
+            "only {} bytes",
+            bytes.len()
+        );
+        assert!(totals.chunks >= 2, "one {}-byte chunk", bytes.len());
+        let mut stream = ChunkStream::<_, EventRecord>::new(bytes.as_slice()).expect("header");
+        let mut i = 0u64;
+        while let Some(records) = stream.next_chunk().expect("every chunk decodes") {
+            for decoded in records {
+                assert_eq!(*decoded, record(i));
+                i += 1;
+            }
+        }
+        assert_eq!(i, n);
     }
 
     #[test]
@@ -1436,7 +1806,7 @@ mod tests {
         bytes[payload_start] ^= 0xff;
         let reader2 = BinReader::parse(&bytes).expect("framing still valid");
         assert_eq!(reader2.totals(), clean_totals);
-        assert!(reader2.to_event_file().is_err(), "decode must fail");
+        assert!(decode_events(&bytes).is_err(), "decode must fail");
     }
 
     #[test]

@@ -70,7 +70,8 @@ pub mod sweep;
 
 pub use config::SigilConfig;
 pub use events_bin::{
-    decode_events, encode_events, BinError, BinReader, BinTotals, BinWriter, ChunkInfo, ChunkStream,
+    decode_events, encode_events, BinError, BinReader, BinTotals, BinWriter, ChunkInfo,
+    ChunkRecord, ChunkStream, RecordKind, TraceRecord,
 };
 pub use events_out::{EventFile, EventRecord};
 pub use phase::{PhaseBucket, PhaseBuilder, PhasePair, PhaseProfile};

@@ -3,17 +3,23 @@
 //! event file, and `from_text` must reject malformed input with a
 //! located error — never a panic — on arbitrary garbage.
 //!
-//! The same contract extends to the chunk-indexed binary format
-//! (`events_bin`): encode → decode → encode must be byte-identical,
-//! binary and text must agree record-for-record, the trailer index must
-//! match a full scan, and arbitrary or corrupted bytes must fail with a
-//! located `BinError` — never a panic.
+//! The same contract extends to the chunk-indexed binary container
+//! (`events_bin`), for both record kinds it holds: encode → decode →
+//! encode must be byte-identical, binary and text must agree
+//! record-for-record, the trailer index must match a full scan, and
+//! arbitrary or corrupted bytes must fail with a located `BinError` —
+//! never a panic.
+
+use std::fmt;
 
 use proptest::prelude::*;
 use sigil_callgrind::ContextId;
-use sigil_core::events_bin::{decode_events, encode_events_chunked, BinError, BinReader};
-use sigil_core::{EventFile, EventRecord};
-use sigil_trace::CallNumber;
+use sigil_core::events_bin::{
+    decode_chunk_payload, decode_events, encode_events_chunked, BinError, BinReader, BinWriter,
+    ChunkRecord, ChunkStream, RecordKind,
+};
+use sigil_core::{EventFile, EventRecord, TraceRecord};
+use sigil_trace::{CallNumber, FunctionId, MemAccess, OpClass, RuntimeEvent, ThreadId};
 
 fn record_strategy() -> impl Strategy<Value = EventRecord> {
     // Small call/context spaces so adjacent transfers sometimes share a
@@ -41,6 +47,94 @@ fn record_strategy() -> impl Strategy<Value = EventRecord> {
             }
         }),
     ]
+}
+
+fn event_strategy() -> impl Strategy<Value = RuntimeEvent> {
+    let access = (any::<u64>(), 1u32..256).prop_map(|(addr, size)| MemAccess::new(addr, size));
+    let class = (0usize..4).prop_map(|i| OpClass::ALL[i]);
+    prop_oneof![
+        (0u32..64).prop_map(|id| RuntimeEvent::Call {
+            callee: FunctionId::from_raw(id)
+        }),
+        Just(RuntimeEvent::Return),
+        access
+            .clone()
+            .prop_map(|access| RuntimeEvent::Read { access }),
+        access.prop_map(|access| RuntimeEvent::Write { access }),
+        (class, 1u32..1 << 20).prop_map(|(class, count)| RuntimeEvent::Op { class, count }),
+        (any::<u64>(), any::<bool>())
+            .prop_map(|(site, taken)| RuntimeEvent::Branch { site, taken }),
+        (0u32..64).prop_map(|id| RuntimeEvent::SyscallEnter {
+            name: FunctionId::from_raw(id)
+        }),
+        Just(RuntimeEvent::SyscallExit),
+        (0u32..8).prop_map(|t| RuntimeEvent::ThreadSwitch {
+            thread: ThreadId::from_raw(t)
+        }),
+    ]
+}
+
+/// Trace records as `sigil trace` writes them: symbol definitions in
+/// interning order, then runtime events.
+fn trace_strategy(max_events: usize) -> impl Strategy<Value = Vec<TraceRecord>> {
+    (
+        prop::collection::vec(0u64..1_000_000, 0..8),
+        prop::collection::vec(event_strategy(), 0..max_events),
+    )
+        .prop_map(|(names, events)| {
+            let mut out: Vec<TraceRecord> = names
+                .into_iter()
+                .enumerate()
+                .map(|(id, tag)| TraceRecord::Sym {
+                    id: id as u32,
+                    name: format!("sym_{tag}::f{id}"),
+                })
+                .collect();
+            out.extend(events.into_iter().map(TraceRecord::Event));
+            out
+        })
+}
+
+/// Writes `records` as one container of their kind.
+fn encode_kind<T: ChunkRecord>(records: &[T], chunk_records: usize) -> Vec<u8> {
+    let mut writer = BinWriter::with_chunk_records(Vec::new(), chunk_records).expect("vec");
+    for record in records {
+        writer.push(record).expect("vec");
+    }
+    writer.finish().expect("vec").1
+}
+
+/// Streams a container of kind `T` back into memory.
+fn decode_kind<T: ChunkRecord + Clone>(bytes: &[u8]) -> Result<Vec<T>, BinError> {
+    let mut stream = ChunkStream::<_, T>::new(bytes)?;
+    let mut out = Vec::new();
+    while let Some(records) = stream.next_chunk()? {
+        out.extend_from_slice(records);
+    }
+    Ok(out)
+}
+
+/// A corrupted container must fail with an error located inside the
+/// input, or (`harmless`) decode to exactly the original records.
+fn check_corrupt<T: ChunkRecord + PartialEq + fmt::Debug>(
+    result: Result<Vec<T>, BinError>,
+    len: usize,
+    harmless: Option<&[T]>,
+) -> Result<(), TestCaseError> {
+    match result {
+        Ok(decoded) => match harmless {
+            Some(original) => prop_assert_eq!(decoded.as_slice(), original),
+            None => prop_assert!(false, "corruption decoded cleanly"),
+        },
+        Err(BinError::Format {
+            offset, message, ..
+        }) => {
+            prop_assert!(offset <= len as u64, "offset {} past {} bytes", offset, len);
+            prop_assert!(!message.is_empty());
+        }
+        Err(BinError::Io(_)) => {}
+    }
+    Ok(())
 }
 
 /// Builds an [`EventFile`] through the public push API (so adjacent
@@ -211,31 +305,70 @@ proptest! {
         prop_assert_eq!(totals.call_records, calls);
         prop_assert_eq!(totals.compute_ops, ops);
         prop_assert_eq!(totals.transfer_bytes, xfer);
-        prop_assert_eq!(reader.verify().map_err(|e| TestCaseError::fail(e.to_string()))?, totals);
+        let streamed = ChunkStream::new(bytes.as_slice())
+            .and_then(|stream| stream.for_each(|_: &EventRecord| {}))
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(streamed, totals);
     }
 
-    /// `decode_events` on arbitrary byte soup returns `Ok` or a located
-    /// `BinError` — it never panics and never allocates unboundedly.
+    /// Trace records round-trip through a container of the trace kind,
+    /// byte-identically, and the trailer counts them without the event
+    /// totals.
+    #[test]
+    fn trace_round_trip_is_byte_identical(
+        records in trace_strategy(160),
+        chunk_records in 1usize..64,
+    ) {
+        let bytes = encode_kind(&records, chunk_records);
+        let decoded: Vec<TraceRecord> = decode_kind(&bytes)
+            .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(&decoded, &records, "decode lost information");
+        prop_assert_eq!(encode_kind(&decoded, chunk_records), bytes, "re-encode not byte-identical");
+        let reader = BinReader::parse(&bytes).map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(reader.kind(), RecordKind::Trace);
+        let totals = reader.totals();
+        prop_assert_eq!(totals.records, records.len() as u64);
+        prop_assert_eq!((totals.call_records, totals.compute_ops, totals.transfer_bytes), (0, 0, 0));
+    }
+
+    /// Arbitrary byte soup returns `Ok` or a located `BinError` — it never
+    /// panics and never allocates unboundedly — read as a whole container
+    /// of either kind, or as one chunk payload of either kind.
     #[test]
     fn arbitrary_binary_never_panics(
         bytes in prop::collection::vec(any::<u8>(), 0..600),
+        count in 0u32..64,
+        base in any::<u32>(),
     ) {
-        match decode_events(&bytes) {
-            Ok(_) => {}
-            Err(BinError::Format { offset, message, .. }) => {
+        for result in [
+            decode_events(&bytes).map(|_| ()),
+            decode_kind::<TraceRecord>(&bytes).map(|_| ()),
+        ] {
+            if let Err(BinError::Format { offset, message, .. }) = result {
                 prop_assert!(offset <= bytes.len() as u64);
                 prop_assert!(!message.is_empty());
             }
-            Err(BinError::Io(_)) => {}
+        }
+        let base = u64::from(base);
+        for result in [
+            decode_chunk_payload::<EventRecord>(&bytes, count, base).map(|_| ()),
+            decode_chunk_payload::<TraceRecord>(&bytes, count, base).map(|_| ()),
+        ] {
+            if let Err(BinError::Format { offset, message, .. }) = result {
+                prop_assert!(offset >= base && offset <= base + bytes.len() as u64);
+                prop_assert!(!message.is_empty());
+            }
         }
     }
 
-    /// A single flipped bit anywhere in a valid binary file is either
-    /// detected (located error) or harmless (decodes to the identical
-    /// event file — e.g. a flip in the advisory chunk-target field).
+    /// A single flipped bit anywhere in a valid container of either kind
+    /// is either detected (located error) or harmless (decodes to the
+    /// identical records — e.g. a flip in the advisory chunk-target
+    /// field).
     #[test]
     fn bit_flips_are_detected_or_harmless(
         records in prop::collection::vec(record_strategy(), 1..80),
+        trace in trace_strategy(80),
         chunk_records in 1usize..32,
         flip in any::<usize>(),
         bit in 0u8..8,
@@ -244,36 +377,95 @@ proptest! {
         let mut bytes = encode_events_chunked(&file, chunk_records);
         let pos = flip % bytes.len();
         bytes[pos] ^= 1 << bit;
-        match decode_events(&bytes) {
-            Ok(decoded) => prop_assert_eq!(
-                decoded, file,
-                "undetected flip at byte {} bit {} changed the payload", pos, bit
-            ),
-            Err(BinError::Format { offset, message, .. }) => {
-                prop_assert!(offset <= bytes.len() as u64);
-                prop_assert!(!message.is_empty());
-            }
-            Err(BinError::Io(_)) => {}
-        }
+        let decoded = decode_events(&bytes).map(|f| f.records().to_vec());
+        check_corrupt(decoded, bytes.len(), Some(file.records()))?;
+
+        let mut bytes = encode_kind(&trace, chunk_records);
+        let pos = flip % bytes.len();
+        bytes[pos] ^= 1 << bit;
+        check_corrupt(decode_kind(&bytes), bytes.len(), Some(trace.as_slice()))?;
     }
 
-    /// Every truncation of a valid binary file fails with a located
-    /// error (a prefix must never silently decode as a complete file).
+    /// Every truncation of a valid container of either kind fails with a
+    /// located error (a prefix must never silently decode as a complete
+    /// file).
     #[test]
     fn truncation_is_always_detected(
         records in prop::collection::vec(record_strategy(), 1..60),
+        trace in trace_strategy(60),
         chunk_records in 1usize..16,
         cut in any::<usize>(),
     ) {
         let file = build_file(&records);
         let bytes = encode_events_chunked(&file, chunk_records);
-        let cut = cut % bytes.len();
-        match decode_events(&bytes[..cut]) {
-            Ok(_) => prop_assert!(false, "truncation at {cut} decoded cleanly"),
-            Err(BinError::Format { message, .. }) => prop_assert!(!message.is_empty()),
-            Err(BinError::Io(_)) => {}
+        let at = cut % bytes.len();
+        let decoded = decode_events(&bytes[..at]).map(|f| f.records().to_vec());
+        check_corrupt(decoded, at, None)?;
+
+        let bytes = encode_kind(&trace, chunk_records);
+        let at = cut % bytes.len();
+        check_corrupt(decode_kind::<TraceRecord>(&bytes[..at]), at, None)?;
+    }
+}
+
+/// Header damage is located for either kind: the magic at byte 0, the
+/// version at byte 4, the record kind at byte 6.
+#[test]
+fn header_damage_is_located_for_both_kinds() {
+    let trace = vec![TraceRecord::Sym {
+        id: 0,
+        name: "main".to_owned(),
+    }];
+    let containers = [
+        encode_events_chunked(&build_file(&[]), 4),
+        encode_kind(&trace, 4),
+    ];
+    for clean in containers {
+        for (at, value, needle) in [
+            (0, b'X', "magic"),
+            (4, 99, "version"),
+            (6, 7, "record kind"),
+        ] {
+            let mut bytes = clean.clone();
+            bytes[at] = value;
+            for result in [
+                decode_events(&bytes).map(|_| ()),
+                decode_kind::<TraceRecord>(&bytes).map(|_| ()),
+                BinReader::parse(&bytes).map(|_| ()),
+            ] {
+                let Err(BinError::Format {
+                    offset, message, ..
+                }) = result
+                else {
+                    panic!("damage at byte {at} went undetected");
+                };
+                assert_eq!(offset, at as u64, "{message}");
+                assert!(message.contains(needle), "{message}");
+            }
         }
     }
+}
+
+/// A recorded trace costs at most its fixed-width records plus a small
+/// framing overhead: well under serde_json's footprint.
+#[test]
+fn trace_encoding_is_compact() {
+    let mut engine = sigil_trace::Engine::new(sigil_trace::observer::RecordingObserver::new());
+    engine.scoped_named("main", |e| {
+        e.write(0xdead_beef_0000, 8);
+        e.op(OpClass::FloatArith, 1000);
+        e.branch(0x42, true);
+        e.syscall("sys_write", |e| e.read(0xdead_beef_0000, 8));
+    });
+    let (recorder, symbols) = engine.finish_with_symbols();
+    let events = recorder.into_events();
+    let records: Vec<TraceRecord> = TraceRecord::of_trace(&symbols, &events).collect();
+    let bytes = encode_kind(&records, 4096);
+    assert!(
+        bytes.len() < events.len() * 16 + 128,
+        "{} bytes",
+        bytes.len()
+    );
 }
 
 /// Malformed variants of each record kind error (with the offending line

@@ -8,13 +8,12 @@ use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 
 use sigil_core::events_bin::{encode_chunk_payload, DEFAULT_CHUNK_RECORDS};
-use sigil_core::EventRecord;
+use sigil_core::{EventRecord, TraceRecord};
 use sigil_trace::{RuntimeEvent, SymbolTable};
 
 use crate::proto::{
-    encode_trace_records, from_json_payload, to_json_payload, Frame, FrameKind, ProtoError,
-    SessionResult, SessionSpec, ShutdownSummary, SnapshotInfo, StatusInfo, TraceRecord, Welcome,
-    WireError,
+    from_json_payload, to_json_payload, Frame, FrameKind, ProtoError, SessionResult, SessionSpec,
+    ShutdownSummary, SnapshotInfo, StatusInfo, Welcome, WireError,
 };
 
 /// Client-side failure.
@@ -235,39 +234,17 @@ impl Client {
         symbols: &SymbolTable,
         events: &[RuntimeEvent],
     ) -> Result<(), ClientError> {
-        let mut records: Vec<TraceRecord> = Vec::with_capacity(self.chunk_records);
-        // Symbol definitions go first, in interning order, so the
-        // server's sequential intern reproduces every id.
-        for (id, name) in symbols.iter() {
-            records.push(TraceRecord::Sym {
-                id: id.as_raw(),
-                name: name.to_owned(),
-            });
-            if records.len() >= self.chunk_records {
-                self.flush_trace_records(&mut records)?;
-            }
+        let mut records = TraceRecord::of_trace(symbols, events).peekable();
+        let mut chunk = Vec::with_capacity(self.chunk_records);
+        while records.peek().is_some() {
+            chunk.clear();
+            chunk.extend(records.by_ref().take(self.chunk_records));
+            self.send_chunk(encode_chunk_payload(&chunk), chunk.len() as u32)?;
         }
-        for event in events {
-            records.push(TraceRecord::Event(*event));
-            if records.len() >= self.chunk_records {
-                self.flush_trace_records(&mut records)?;
-            }
-        }
-        self.flush_trace_records(&mut records)
+        Ok(())
     }
 
-    fn flush_trace_records(&mut self, records: &mut Vec<TraceRecord>) -> Result<(), ClientError> {
-        if records.is_empty() {
-            return Ok(());
-        }
-        let payload = encode_trace_records(records);
-        let count = records.len() as u32;
-        records.clear();
-        self.send_chunk(payload, count)
-    }
-
-    /// Streams event records as events-mode chunks (the SGEB chunk
-    /// payload encoding).
+    /// Streams event records as events-mode chunks.
     ///
     /// # Errors
     ///

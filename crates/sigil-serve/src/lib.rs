@@ -4,10 +4,10 @@
 //! traces; the production north-star is a long-running service ingesting
 //! many streams at once. This crate is that server: `sigil serve`
 //! accepts any number of concurrent *profile sessions* over a
-//! length-framed protocol whose data payloads reuse the existing binary
-//! encodings — the SGEB chunk payload of
-//! [`sigil_core::events_bin`] for event-record sessions, and the `.sgtr`
-//! per-event encoding of [`sigil_trace::io`] for full trace sessions.
+//! length-framed protocol whose data payloads are chunk payloads of the
+//! [`sigil_core::events_bin`] container: event records for event-record
+//! sessions, and trace records (symbols, then runtime events) for full
+//! trace sessions.
 //!
 //! # Architecture
 //!
@@ -52,8 +52,7 @@ pub mod server;
 
 pub use client::{shutdown_server, Client, ClientError};
 pub use proto::{
-    decode_trace_records, encode_trace_records, Frame, FrameKind, ProtoError, SessionResult,
-    SessionSpec, ShutdownSummary, SnapshotInfo, StatusInfo, TraceRecord, Welcome, WireError,
-    FRAME_HEADER_LEN, WIRE_VERSION,
+    Frame, FrameKind, ProtoError, SessionResult, SessionSpec, ShutdownSummary, SnapshotInfo,
+    StatusInfo, Welcome, WireError, FRAME_HEADER_LEN, WIRE_VERSION,
 };
 pub use server::{Listen, ServeConfig, Server};

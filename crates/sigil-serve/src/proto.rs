@@ -22,7 +22,7 @@
 //! |------------|-----|--------------|----------------------------------|
 //! | HELLO      | c→s | 0            | [`SessionSpec`] JSON             |
 //! | WELCOME    | s→c | 0            | [`Welcome`] JSON                 |
-//! | CHUNK      | c→s | record count | SGEB chunk payload / trace records |
+//! | CHUNK      | c→s | record count | one SGEB chunk payload           |
 //! | CREDIT     | s→c | credits      | empty                            |
 //! | STATUS     | c→s | 0            | empty                            |
 //! | STATUS_OK  | s→c | 0            | [`StatusInfo`] JSON              |
@@ -34,21 +34,25 @@
 //! | SHUTDOWN   | c→s | 0            | empty                            |
 //! | SHUTDOWN_OK| s→c | 0            | [`ShutdownSummary`] JSON         |
 //!
-//! A CHUNK's payload encoding depends on the session mode declared in
-//! HELLO: `events` sessions carry the exact SGEB chunk payload bytes
-//! ([`sigil_core::events_bin::encode_chunk_payload`]); `trace` sessions
-//! carry [`TraceRecord`]s — symbol definitions interleaved with the
-//! fixed-width `.sgtr` event encoding of [`sigil_trace::io`].
+//! A CHUNK's payload is one chunk payload of the
+//! [`sigil_core::events_bin`] container, byte for byte what a file holds
+//! in a chunk; the session mode declared in HELLO names the record kind.
+//! `events` sessions carry [`EventRecord`](sigil_core::EventRecord)s (as
+//! in `.evb` files) and `trace` sessions carry
+//! [`TraceRecord`](sigil_core::TraceRecord)s — symbol definitions, then
+//! runtime events (as in `.sgtr` files). Both encode with
+//! [`encode_chunk_payload`](sigil_core::events_bin::encode_chunk_payload)
+//! and decode with
+//! [`decode_chunk_payload`](sigil_core::events_bin::decode_chunk_payload).
 
 use std::fmt;
 use std::io::{self, Read, Write};
 
 use serde::{Deserialize, Serialize};
 use sigil_analysis::streaming::PathSummary;
-use sigil_core::events_bin::{payload_checksum, MAX_PAYLOAD};
+use sigil_core::events_bin::{payload_checksum, BinError, MAX_PAYLOAD};
 use sigil_core::{PhaseProfile, Profile, SigilConfig};
 use sigil_mem::EvictionPolicy;
-use sigil_trace::RuntimeEvent;
 
 /// Wire-protocol version, carried in HELLO/WELCOME.
 pub const WIRE_VERSION: u32 = 1;
@@ -161,6 +165,19 @@ impl From<io::Error> for ProtoError {
     }
 }
 
+/// A CHUNK payload that does not decode keeps its byte offset, which the
+/// decoder already reports on the connection.
+impl From<BinError> for ProtoError {
+    fn from(e: BinError) -> Self {
+        match e {
+            BinError::Io(e) => ProtoError::Io(e),
+            BinError::Format {
+                offset, message, ..
+            } => ProtoError::Format { offset, message },
+        }
+    }
+}
+
 /// One wire frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
@@ -255,112 +272,6 @@ impl Frame {
         *offset = at + FRAME_HEADER_LEN as u64 + u64::from(payload_len);
         Ok(Frame { kind, aux, payload })
     }
-}
-
-// ---------------------------------------------------------------------------
-// Trace-session chunk payload: symbol definitions + .sgtr event records
-// ---------------------------------------------------------------------------
-
-/// Payload tag for a symbol definition inside a trace chunk. The
-/// `.sgtr` event tags start at 1, so 0 is free.
-const TAG_SYMDEF: u8 = 0;
-
-/// One record of a trace-session chunk payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TraceRecord {
-    /// Defines function id `id` as `name`. Ids must arrive in interning
-    /// order (0, 1, 2, …) so the server's sequential
-    /// [`SymbolTable`](sigil_trace::SymbolTable) reproduces them.
-    Sym {
-        /// The function id being defined.
-        id: u32,
-        /// Its symbol name.
-        name: String,
-    },
-    /// One runtime event, encoded exactly as in `.sgtr` containers.
-    Event(RuntimeEvent),
-}
-
-/// Encodes trace records as a chunk payload.
-pub fn encode_trace_records(records: &[TraceRecord]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(records.len() * 8);
-    for record in records {
-        match record {
-            TraceRecord::Sym { id, name } => {
-                out.push(TAG_SYMDEF);
-                out.extend_from_slice(&id.to_le_bytes());
-                out.extend_from_slice(&(name.len() as u32).to_le_bytes());
-                out.extend_from_slice(name.as_bytes());
-            }
-            TraceRecord::Event(event) => {
-                sigil_trace::io::write_event(&mut out, *event).expect("writing to a Vec");
-            }
-        }
-    }
-    out
-}
-
-/// Decodes a trace-session chunk payload of exactly `count` records.
-/// `base` is the connection offset of the payload's first byte, so
-/// errors locate the damage on the wire.
-///
-/// # Errors
-///
-/// Returns a located [`ProtoError`] on malformed records, a count
-/// mismatch, or trailing bytes.
-pub fn decode_trace_records(
-    payload: &[u8],
-    count: u32,
-    base: u64,
-) -> Result<Vec<TraceRecord>, ProtoError> {
-    let mut out = Vec::with_capacity(count as usize);
-    let mut rest = payload;
-    for i in 0..count {
-        let at = base + (payload.len() - rest.len()) as u64;
-        let locate = |message: String| ProtoError::format(at, format!("record {i}: {message}"));
-        let Some((&tag, _)) = rest.split_first() else {
-            return Err(locate("truncated payload (missing record)".to_owned()));
-        };
-        if tag == TAG_SYMDEF {
-            rest = &rest[1..];
-            if rest.len() < 8 {
-                return Err(locate("truncated symbol definition".to_owned()));
-            }
-            let id = u32::from_le_bytes(rest[..4].try_into().expect("4 bytes"));
-            let len = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes")) as usize;
-            rest = &rest[8..];
-            if len > 1 << 20 {
-                return Err(locate(format!("unreasonable symbol length {len}")));
-            }
-            if rest.len() < len {
-                return Err(locate("truncated symbol name".to_owned()));
-            }
-            let name = std::str::from_utf8(&rest[..len])
-                .map_err(|e| locate(format!("bad symbol utf-8: {e}")))?
-                .to_owned();
-            rest = &rest[len..];
-            out.push(TraceRecord::Sym { id, name });
-        } else {
-            let before = rest;
-            let event = sigil_trace::io::read_event(&mut rest).map_err(|e| {
-                // `rest` may or may not have advanced; report the record
-                // start either way.
-                let _ = before;
-                locate(e.to_string())
-            })?;
-            out.push(TraceRecord::Event(event));
-        }
-    }
-    if !rest.is_empty() {
-        return Err(ProtoError::format(
-            base + (payload.len() - rest.len()) as u64,
-            format!(
-                "{} trailing payload bytes after the last record",
-                rest.len()
-            ),
-        ));
-    }
-    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -564,7 +475,6 @@ pub(crate) fn from_json_payload<T: Deserialize>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sigil_trace::{FunctionId, MemAccess, OpClass};
 
     #[test]
     fn frame_round_trips() {
@@ -601,36 +511,6 @@ mod tests {
         };
         assert_eq!(at, 100);
         assert!(message.contains("checksum"), "{message}");
-    }
-
-    #[test]
-    fn trace_records_round_trip() {
-        let records = vec![
-            TraceRecord::Sym {
-                id: 0,
-                name: "main".to_owned(),
-            },
-            TraceRecord::Event(RuntimeEvent::Call {
-                callee: FunctionId::from_raw(0),
-            }),
-            TraceRecord::Event(RuntimeEvent::Write {
-                access: MemAccess::new(0x100, 8),
-            }),
-            TraceRecord::Event(RuntimeEvent::Op {
-                class: OpClass::IntArith,
-                count: 7,
-            }),
-            TraceRecord::Event(RuntimeEvent::Return),
-        ];
-        let payload = encode_trace_records(&records);
-        let back = decode_trace_records(&payload, records.len() as u32, 0).expect("decodes");
-        assert_eq!(back, records);
-        // Wrong counts and truncations are located errors.
-        assert!(decode_trace_records(&payload, records.len() as u32 + 1, 0).is_err());
-        assert!(decode_trace_records(&payload, records.len() as u32 - 1, 0).is_err());
-        assert!(
-            decode_trace_records(&payload[..payload.len() - 1], records.len() as u32, 0).is_err()
-        );
     }
 
     #[test]

@@ -13,14 +13,13 @@ use std::time::{Duration, Instant};
 
 use sigil_analysis::streaming::{CriticalPathFold, EventCdfgFold, PhaseFold};
 use sigil_core::events_bin::decode_chunk_payload;
-use sigil_core::{EventRecord, SigilProfiler};
+use sigil_core::{EventRecord, SigilProfiler, TraceRecord};
 use sigil_obs::{metrics, obs_info, timeseries};
 use sigil_trace::{ExecutionObserver, SymbolTable};
 
 use crate::proto::{
-    decode_trace_records, from_json_payload, to_json_payload, Frame, FrameKind, ProtoError,
-    SessionResult, SessionSpec, ShutdownSummary, SnapshotInfo, StatusInfo, TraceRecord, Welcome,
-    WireError, WIRE_VERSION,
+    from_json_payload, to_json_payload, Frame, FrameKind, ProtoError, SessionResult, SessionSpec,
+    ShutdownSummary, SnapshotInfo, StatusInfo, Welcome, WireError, WIRE_VERSION,
 };
 
 /// Ingest-lag histogram bounds, microseconds.
@@ -700,8 +699,9 @@ fn chunk_error_offset(error: &ProtoError, fallback: u64) -> u64 {
     }
 }
 
-/// Decodes one chunk payload into the session state. Returns the number
-/// of records fed.
+/// Decodes one chunk payload into the session state. `offset` is the
+/// payload's connection offset, so decode errors name the damaged byte.
+/// Returns the number of records fed.
 fn feed_chunk(
     state: &mut SessionState,
     payload: &[u8],
@@ -710,29 +710,9 @@ fn feed_chunk(
 ) -> Result<u64, ProtoError> {
     match state {
         SessionState::Trace { profiler, symbols } => {
-            let decoded = decode_trace_records(payload, records, offset)?;
-            let mut fed = 0u64;
-            for record in decoded {
-                match record {
-                    TraceRecord::Sym { id, name } => {
-                        let assigned = symbols.intern(&name);
-                        if assigned.as_raw() != id {
-                            return Err(ProtoError::format(
-                                offset,
-                                format!(
-                                    "symbol {name:?} declared id {id} but interned as {}",
-                                    assigned.as_raw()
-                                ),
-                            ));
-                        }
-                    }
-                    TraceRecord::Event(event) => {
-                        profiler.on_event(event);
-                        fed += 1;
-                    }
-                }
-            }
-            Ok(fed)
+            let decoded: Vec<TraceRecord> = decode_chunk_payload(payload, records, offset)?;
+            TraceRecord::apply(&decoded, symbols, profiler.as_mut())
+                .map_err(|message| ProtoError::format(offset, message))
         }
         SessionState::Events(folds) => {
             let EventFolds {
@@ -742,12 +722,7 @@ fn feed_chunk(
                 compute_ops,
                 transfer_bytes,
             } = folds.as_mut();
-            let decoded = decode_chunk_payload(payload, records).map_err(|e| match e {
-                sigil_core::events_bin::BinError::Io(io) => ProtoError::Io(io),
-                sigil_core::events_bin::BinError::Format { message, .. } => {
-                    ProtoError::format(offset, message)
-                }
-            })?;
+            let decoded: Vec<EventRecord> = decode_chunk_payload(payload, records, offset)?;
             for record in &decoded {
                 if let Some(fold) = phases.as_mut() {
                     fold.push(record);

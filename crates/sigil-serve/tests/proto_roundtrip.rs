@@ -10,10 +10,9 @@
 //! harmless.
 
 use proptest::prelude::*;
-use sigil_serve::{
-    decode_trace_records, encode_trace_records, Frame, FrameKind, ProtoError, TraceRecord,
-    FRAME_HEADER_LEN,
-};
+use sigil_core::events_bin::{decode_chunk_payload, encode_chunk_payload};
+use sigil_core::TraceRecord;
+use sigil_serve::{Frame, FrameKind, ProtoError, FRAME_HEADER_LEN};
 use sigil_trace::{FunctionId, MemAccess, OpClass, RuntimeEvent, ThreadId};
 
 fn kind_strategy() -> impl Strategy<Value = FrameKind> {
@@ -95,6 +94,12 @@ fn trace_records_strategy() -> impl Strategy<Value = Vec<TraceRecord>> {
             out.extend(events.into_iter().map(TraceRecord::Event));
             out
         })
+}
+
+/// Decodes a trace-session CHUNK payload as the daemon does, errors
+/// converted to the wire's.
+fn decode_trace(payload: &[u8], count: u32, base: u64) -> Result<Vec<TraceRecord>, ProtoError> {
+    Ok(decode_chunk_payload(payload, count, base)?)
 }
 
 proptest! {
@@ -195,11 +200,11 @@ proptest! {
     /// byte-identically.
     #[test]
     fn trace_records_round_trip(records in trace_records_strategy()) {
-        let payload = encode_trace_records(&records);
-        let decoded = decode_trace_records(&payload, records.len() as u32, 0)
+        let payload = encode_chunk_payload(&records);
+        let decoded = decode_trace(&payload, records.len() as u32, 0)
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
         prop_assert_eq!(&decoded, &records, "decode lost information");
-        prop_assert_eq!(encode_trace_records(&decoded), payload, "re-encode not byte-identical");
+        prop_assert_eq!(encode_chunk_payload(&decoded), payload, "re-encode not byte-identical");
     }
 
     /// A wrong record count or a truncated trace payload fails with a
@@ -215,11 +220,11 @@ proptest! {
             // `prop_assume`, so accept the case outright.
             return Ok(());
         }
-        let payload = encode_trace_records(&records);
+        let payload = encode_chunk_payload(&records);
         let count = records.len() as u32;
         let base = u64::from(base);
         for wrong in [count - 1, count + 1] {
-            match decode_trace_records(&payload, wrong, base) {
+            match decode_trace(&payload, wrong, base) {
                 Ok(_) => prop_assert!(false, "count {} decoded cleanly", wrong),
                 Err(ProtoError::Format { offset, message }) => {
                     prop_assert!(offset >= base && offset <= base + payload.len() as u64);
@@ -230,11 +235,11 @@ proptest! {
         }
         let cut = cut % payload.len();
         if let Err(ProtoError::Format { offset, message }) =
-            decode_trace_records(&payload[..cut], count, base)
+            decode_trace(&payload[..cut], count, base)
         {
             prop_assert!(offset >= base && offset <= base + cut as u64);
             prop_assert!(!message.is_empty());
-        } else if decode_trace_records(&payload[..cut], count, base).is_ok() {
+        } else if decode_trace(&payload[..cut], count, base).is_ok() {
             prop_assert!(false, "truncation at {} decoded cleanly", cut);
         }
     }

@@ -1,222 +1,14 @@
-//! Compact binary serialization of event traces.
+//! Replaying recorded event traces.
 //!
 //! The paper closes with: "we plan to release the profile data for many
 //! commonly used benchmarks. As these profiles are platform independent,
-//! researchers can use the data without running Sigil." This module
-//! provides the trace container for that workflow: a recorded event
-//! stream plus its symbol table, written as a compact little-endian
-//! binary file that any observer can later replay.
-//!
-//! # Format
-//!
-//! ```text
-//! magic "SGTR" | version u32 | symbol count u32 | (len u32, utf8)* |
-//! event count u64 | events…
-//! ```
-//!
-//! Each event is one tag byte plus a fixed payload; see the `tag`
-//! constants.
+//! researchers can use the data without running Sigil." A recorded
+//! event stream replays into any observer exactly as the live run fed
+//! it. The on-disk form of a recorded trace (`.sgtr`) is the trace kind
+//! of `sigil_core::events_bin`'s chunk container.
 
-use std::io::{self, Read, Write};
-
-use crate::event::{MemAccess, OpClass, RuntimeEvent};
-use crate::ids::FunctionId;
 use crate::observer::ExecutionObserver;
-use crate::symbols::SymbolTable;
-
-const MAGIC: &[u8; 4] = b"SGTR";
-const VERSION: u32 = 1;
-
-mod tag {
-    pub const CALL: u8 = 1;
-    pub const RETURN: u8 = 2;
-    pub const READ: u8 = 3;
-    pub const WRITE: u8 = 4;
-    pub const OP: u8 = 5;
-    pub const BRANCH: u8 = 6;
-    pub const SYSCALL_ENTER: u8 = 7;
-    pub const SYSCALL_EXIT: u8 = 8;
-    pub const THREAD_SWITCH: u8 = 9;
-}
-
-fn op_class_code(class: OpClass) -> u8 {
-    class.index() as u8
-}
-
-fn op_class_from(code: u8) -> io::Result<OpClass> {
-    OpClass::ALL
-        .into_iter()
-        .find(|c| c.index() as u8 == code)
-        .ok_or_else(|| bad_data(format!("unknown op class {code}")))
-}
-
-fn bad_data(message: String) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, message)
-}
-
-/// Writes one event in the trace encoding: a tag byte plus a fixed
-/// little-endian payload. The same record encoding is used inside
-/// `.sgtr` containers and as the per-record wire payload of streamed
-/// profile sessions.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `writer`.
-pub fn write_event<W: Write>(writer: &mut W, event: RuntimeEvent) -> io::Result<()> {
-    match event {
-        RuntimeEvent::Call { callee } => {
-            writer.write_all(&[tag::CALL])?;
-            writer.write_all(&callee.as_raw().to_le_bytes())?;
-        }
-        RuntimeEvent::Return => writer.write_all(&[tag::RETURN])?,
-        RuntimeEvent::Read { access } => {
-            writer.write_all(&[tag::READ])?;
-            writer.write_all(&access.addr.to_le_bytes())?;
-            writer.write_all(&access.size.to_le_bytes())?;
-        }
-        RuntimeEvent::Write { access } => {
-            writer.write_all(&[tag::WRITE])?;
-            writer.write_all(&access.addr.to_le_bytes())?;
-            writer.write_all(&access.size.to_le_bytes())?;
-        }
-        RuntimeEvent::Op { class, count } => {
-            writer.write_all(&[tag::OP, op_class_code(class)])?;
-            writer.write_all(&count.to_le_bytes())?;
-        }
-        RuntimeEvent::Branch { site, taken } => {
-            writer.write_all(&[tag::BRANCH, u8::from(taken)])?;
-            writer.write_all(&site.to_le_bytes())?;
-        }
-        RuntimeEvent::SyscallEnter { name } => {
-            writer.write_all(&[tag::SYSCALL_ENTER])?;
-            writer.write_all(&name.as_raw().to_le_bytes())?;
-        }
-        RuntimeEvent::SyscallExit => writer.write_all(&[tag::SYSCALL_EXIT])?,
-        RuntimeEvent::ThreadSwitch { thread } => {
-            writer.write_all(&[tag::THREAD_SWITCH])?;
-            writer.write_all(&thread.as_raw().to_le_bytes())?;
-        }
-    }
-    Ok(())
-}
-
-/// Reads one event written by [`write_event`].
-///
-/// # Errors
-///
-/// Fails with `InvalidData` on an unknown tag or op class, and
-/// propagates underlying I/O errors (including `UnexpectedEof` on a
-/// truncated record).
-pub fn read_event<R: Read>(reader: &mut R) -> io::Result<RuntimeEvent> {
-    let [tag_byte] = read_exact::<1, _>(reader)?;
-    let event = match tag_byte {
-        tag::CALL => RuntimeEvent::Call {
-            callee: FunctionId::from_raw(u32::from_le_bytes(read_exact::<4, _>(reader)?)),
-        },
-        tag::RETURN => RuntimeEvent::Return,
-        tag::READ | tag::WRITE => {
-            let addr = u64::from_le_bytes(read_exact::<8, _>(reader)?);
-            let size = u32::from_le_bytes(read_exact::<4, _>(reader)?);
-            let access = MemAccess::new(addr, size);
-            if tag_byte == tag::READ {
-                RuntimeEvent::Read { access }
-            } else {
-                RuntimeEvent::Write { access }
-            }
-        }
-        tag::OP => {
-            let [code] = read_exact::<1, _>(reader)?;
-            let count = u32::from_le_bytes(read_exact::<4, _>(reader)?);
-            RuntimeEvent::Op {
-                class: op_class_from(code)?,
-                count,
-            }
-        }
-        tag::BRANCH => {
-            let [taken] = read_exact::<1, _>(reader)?;
-            let site = u64::from_le_bytes(read_exact::<8, _>(reader)?);
-            RuntimeEvent::Branch {
-                site,
-                taken: taken != 0,
-            }
-        }
-        tag::SYSCALL_ENTER => RuntimeEvent::SyscallEnter {
-            name: FunctionId::from_raw(u32::from_le_bytes(read_exact::<4, _>(reader)?)),
-        },
-        tag::SYSCALL_EXIT => RuntimeEvent::SyscallExit,
-        tag::THREAD_SWITCH => RuntimeEvent::ThreadSwitch {
-            thread: crate::ids::ThreadId::from_raw(u32::from_le_bytes(read_exact::<4, _>(reader)?)),
-        },
-        other => return Err(bad_data(format!("unknown event tag {other}"))),
-    };
-    Ok(event)
-}
-
-/// Writes a recorded trace (events + symbols) to `writer`.
-///
-/// # Errors
-///
-/// Propagates I/O errors from `writer`.
-pub fn write_trace<W: Write>(
-    writer: &mut W,
-    symbols: &SymbolTable,
-    events: &[RuntimeEvent],
-) -> io::Result<()> {
-    writer.write_all(MAGIC)?;
-    writer.write_all(&VERSION.to_le_bytes())?;
-    writer.write_all(&(symbols.len() as u32).to_le_bytes())?;
-    for (_, name) in symbols.iter() {
-        writer.write_all(&(name.len() as u32).to_le_bytes())?;
-        writer.write_all(name.as_bytes())?;
-    }
-    writer.write_all(&(events.len() as u64).to_le_bytes())?;
-    for &event in events {
-        write_event(writer, event)?;
-    }
-    Ok(())
-}
-
-fn read_exact<const N: usize, R: Read>(reader: &mut R) -> io::Result<[u8; N]> {
-    let mut buf = [0u8; N];
-    reader.read_exact(&mut buf)?;
-    Ok(buf)
-}
-
-/// Reads a trace written by [`write_trace`].
-///
-/// # Errors
-///
-/// Fails with `InvalidData` on a bad magic number, unsupported version,
-/// or malformed records, and propagates underlying I/O errors.
-pub fn read_trace<R: Read>(reader: &mut R) -> io::Result<(SymbolTable, Vec<RuntimeEvent>)> {
-    let magic = read_exact::<4, _>(reader)?;
-    if &magic != MAGIC {
-        return Err(bad_data("not a sigil trace (bad magic)".to_owned()));
-    }
-    let version = u32::from_le_bytes(read_exact::<4, _>(reader)?);
-    if version != VERSION {
-        return Err(bad_data(format!("unsupported trace version {version}")));
-    }
-    let symbol_count = u32::from_le_bytes(read_exact::<4, _>(reader)?);
-    let mut symbols = SymbolTable::new();
-    for _ in 0..symbol_count {
-        let len = u32::from_le_bytes(read_exact::<4, _>(reader)?) as usize;
-        if len > 1 << 20 {
-            return Err(bad_data(format!("unreasonable symbol length {len}")));
-        }
-        let mut buf = vec![0u8; len];
-        reader.read_exact(&mut buf)?;
-        let name =
-            String::from_utf8(buf).map_err(|e| bad_data(format!("bad symbol utf-8: {e}")))?;
-        symbols.intern(&name);
-    }
-    let event_count = u64::from_le_bytes(read_exact::<8, _>(reader)?);
-    let mut events = Vec::with_capacity(event_count.min(1 << 24) as usize);
-    for _ in 0..event_count {
-        events.push(read_event(reader)?);
-    }
-    Ok((symbols, events))
-}
+use crate::RuntimeEvent;
 
 /// Replays a loaded trace into `observer`, including the finish
 /// notification.
@@ -232,8 +24,10 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use crate::observer::{CountingObserver, RecordingObserver};
+    use crate::OpClass;
 
-    fn sample_trace() -> (SymbolTable, Vec<RuntimeEvent>) {
+    #[test]
+    fn replay_matches_live_counts() {
         let mut engine = Engine::new(RecordingObserver::new());
         engine.scoped_named("main", |e| {
             e.write(0xdead_beef_0000, 8);
@@ -241,41 +35,7 @@ mod tests {
             e.branch(0x42, true);
             e.syscall("sys_write", |e| e.read(0xdead_beef_0000, 8));
         });
-        let (rec, symbols) = engine.finish_with_symbols();
-        (symbols, rec.into_events())
-    }
-
-    #[test]
-    fn single_event_round_trips() {
-        let (_, events) = sample_trace();
-        for &event in &events {
-            let mut buf = Vec::new();
-            write_event(&mut buf, event).expect("write to vec");
-            let back = read_event(&mut buf.as_slice()).expect("read back");
-            assert_eq!(event, back);
-            // The whole buffer is consumed: no trailing bytes.
-            let mut slice = buf.as_slice();
-            let _ = read_event(&mut slice).expect("read");
-            assert!(slice.is_empty());
-        }
-    }
-
-    #[test]
-    fn round_trip_preserves_everything() {
-        let (symbols, events) = sample_trace();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &symbols, &events).expect("write to vec");
-        let (symbols2, events2) = read_trace(&mut buf.as_slice()).expect("read back");
-        assert_eq!(events, events2);
-        assert_eq!(symbols.len(), symbols2.len());
-        for (id, name) in symbols.iter() {
-            assert_eq!(symbols2.get_name(id), Some(name));
-        }
-    }
-
-    #[test]
-    fn replay_matches_live_counts() {
-        let (_, events) = sample_trace();
+        let events = engine.finish().into_events();
         let mut live = CountingObserver::new();
         for &e in &events {
             live.on_event(e);
@@ -283,55 +43,5 @@ mod tests {
         let mut replayed = CountingObserver::new();
         replay(&events, &mut replayed);
         assert_eq!(live.counts(), replayed.counts());
-    }
-
-    #[test]
-    fn bad_magic_rejected() {
-        let err = read_trace(&mut &b"NOPE"[..]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("magic"));
-    }
-
-    #[test]
-    fn truncated_stream_fails_cleanly() {
-        let (symbols, events) = sample_trace();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &symbols, &events).expect("write");
-        for cut in [3, 8, buf.len() / 2, buf.len() - 1] {
-            assert!(
-                read_trace(&mut &buf[..cut]).is_err(),
-                "cut at {cut} must fail"
-            );
-        }
-    }
-
-    #[test]
-    fn unsupported_version_rejected() {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&99u32.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes());
-        buf.extend_from_slice(&0u64.to_le_bytes());
-        let err = read_trace(&mut buf.as_slice()).unwrap_err();
-        assert!(err.to_string().contains("version"));
-    }
-
-    #[test]
-    fn empty_trace_round_trips() {
-        let symbols = SymbolTable::new();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &symbols, &[]).expect("write");
-        let (s, e) = read_trace(&mut buf.as_slice()).expect("read");
-        assert!(s.is_empty());
-        assert!(e.is_empty());
-    }
-
-    #[test]
-    fn encoding_is_compact() {
-        let (symbols, events) = sample_trace();
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &symbols, &events).expect("write");
-        // Well under serde_json's footprint: ~13 bytes per event here.
-        assert!(buf.len() < events.len() * 16 + 128);
     }
 }

@@ -5,16 +5,19 @@
 //!
 //! * text → binary → text and binary → decode → binary are lossless
 //!   (byte-identical re-encodings),
-//! * the trailer index agrees with a full decode,
+//! * the trailer index agrees with a full decode, and no reader accepts
+//!   bytes after the footer,
 //! * the streaming critical-path fold over binary chunks reproduces the
 //!   in-memory [`CriticalPath`] numbers exactly, and
 //! * the streaming CDFG fold reproduces the in-memory event CDFG —
 //!   nodes, edges and inclusive costs — exactly.
 
 use sigil::analysis::critical_path::{CommModel, CriticalPath};
-use sigil::analysis::streaming::{critical_path_from_bin, event_cdfg_from_bin, EventCdfg};
-use sigil::core::events_bin::{decode_events, encode_events_chunked, BinReader};
-use sigil::core::{EventFile, Profile, SigilConfig, SigilProfiler};
+use sigil::analysis::streaming::{
+    critical_path_from_bin, event_cdfg_from_bin, phase_profile_from_bin, EventCdfg,
+};
+use sigil::core::events_bin::{decode_events, encode_events_chunked, BinReader, ChunkStream};
+use sigil::core::{EventFile, EventRecord, Profile, SigilConfig, SigilProfiler};
 use sigil::trace::Engine;
 use sigil::workloads::{Benchmark, InputSize};
 
@@ -70,12 +73,36 @@ fn trailer_index_matches_decode_for_every_benchmark() {
         let reader = BinReader::parse(&bytes).unwrap_or_else(|e| panic!("{bench}: {e}"));
         let totals = reader.totals();
         assert_eq!(totals.records, events.len() as u64, "{bench}");
-        let verified = reader.verify().unwrap_or_else(|e| panic!("{bench}: {e}"));
+        // A stream pass checks every index entry and the footer against
+        // the records it decoded.
+        let streamed = ChunkStream::new(bytes.as_slice())
+            .and_then(|stream| stream.for_each(|_: &EventRecord| {}))
+            .unwrap_or_else(|e| panic!("{bench}: {e}"));
         assert_eq!(
-            verified, totals,
+            streamed, totals,
             "{bench}: full scan disagrees with trailer"
         );
     }
+}
+
+#[test]
+fn bytes_after_the_footer_fail_every_reader() {
+    let events = event_file(Benchmark::Vips, SigilConfig::default());
+    let mut bytes = encode_events_chunked(&events, 509);
+    bytes.extend_from_slice(&[0u8; 8]);
+    assert!(decode_events(&bytes).is_err(), "decode_events");
+    assert!(
+        critical_path_from_bin(&bytes[..], &CommModel::free()).is_err(),
+        "critical_path_from_bin"
+    );
+    assert!(
+        event_cdfg_from_bin(&bytes[..]).is_err(),
+        "event_cdfg_from_bin"
+    );
+    assert!(
+        phase_profile_from_bin(&bytes[..], 500).is_err(),
+        "phase_profile_from_bin"
+    );
 }
 
 #[test]

@@ -1,11 +1,11 @@
 //! Integration tests for the data-release workflow: profiles serialize
-//! to JSON and traces round-trip through the binary container — "as
+//! to JSON and traces round-trip through the chunk container — "as
 //! these profiles are platform independent, researchers can use the data
 //! without running Sigil" (paper §VI).
 
-use sigil::core::{Profile, SigilConfig, SigilProfiler};
+use sigil::core::{BinWriter, ChunkStream, Profile, SigilConfig, SigilProfiler, TraceRecord};
 use sigil::trace::observer::RecordingObserver;
-use sigil::trace::{io as trace_io, Engine};
+use sigil::trace::{io as trace_io, Engine, ExecutionObserver, SymbolTable};
 use sigil::workloads::{Benchmark, InputSize};
 
 fn profile_of(bench: Benchmark, config: SigilConfig) -> Profile {
@@ -50,19 +50,27 @@ fn recorded_trace_replays_into_identical_profile() {
     let (recorder, symbols) = engine.finish_with_symbols();
     let events = recorder.into_events();
 
-    // …serialize + deserialize it…
-    let mut buf = Vec::new();
-    trace_io::write_trace(&mut buf, &symbols, &events).expect("write");
-    let (symbols2, events2) = trace_io::read_trace(&mut buf.as_slice()).expect("read");
+    // …write it as a trace-kind container (what `sigil trace` writes)…
+    let mut writer = BinWriter::new(Vec::new()).expect("vec");
+    for record in TraceRecord::of_trace(&symbols, &events) {
+        writer.push(&record).expect("vec");
+    }
+    let (_, bytes) = writer.finish().expect("vec");
 
-    // …and profile both the live and the loaded copies.
+    // …and profile both the live copy and the file, streamed one chunk
+    // at a time as `sigil replay` does.
     let config = SigilConfig::default().with_reuse_mode();
     let mut live = SigilProfiler::new(config);
     trace_io::replay(&events, &mut live);
     let live_profile = live.into_profile(symbols);
 
+    let mut stream = ChunkStream::<_, TraceRecord>::new(bytes.as_slice()).expect("header");
+    let mut symbols2 = SymbolTable::new();
     let mut loaded = SigilProfiler::new(config);
-    trace_io::replay(&events2, &mut loaded);
+    while let Some(records) = stream.next_chunk().expect("chunk decodes") {
+        TraceRecord::apply(records, &mut symbols2, &mut loaded).expect("symbols in order");
+    }
+    loaded.on_finish();
     let loaded_profile = loaded.into_profile(symbols2);
 
     assert_eq!(live_profile.edges, loaded_profile.edges);

@@ -13,13 +13,14 @@ use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
 
+use sigil_core::events_bin::encode_chunk_payload;
+use sigil_core::{EventRecord, TraceRecord};
 use sigil_oracle::harness::{record_benchmark, record_program, TraceBundle};
 use sigil_oracle::serve_axis::{batch_outcome, diff_outcomes, online_outcome, serve_config};
 use sigil_serve::{
-    encode_trace_records, Client, Frame, FrameKind, Listen, ServeConfig, Server, SessionSpec,
-    TraceRecord, WireError,
+    Client, Frame, FrameKind, Listen, ServeConfig, Server, SessionSpec, WireError, FRAME_HEADER_LEN,
 };
-use sigil_trace::{OpClass, RuntimeEvent};
+use sigil_trace::{CallNumber, FunctionId, OpClass, RuntimeEvent};
 use sigil_vm::GenProgram;
 use sigil_workloads::{Benchmark, InputSize};
 
@@ -108,6 +109,130 @@ fn bit_flipped_frame_gets_located_error() {
         "after-flip",
         &record_program(&GenProgram::generate(3)),
     );
+    drop(server);
+}
+
+/// Opens a raw session and sends one CHUNK frame. Returns the stream
+/// and the connection offset of the chunk's first payload byte.
+fn send_raw_chunk(
+    address: &str,
+    spec: &SessionSpec,
+    aux: u32,
+    payload: Vec<u8>,
+) -> (TcpStream, u64) {
+    let mut stream = TcpStream::connect(address).expect("raw connect");
+    let hello = hello_frame(spec).encode();
+    stream.write_all(&hello).expect("send hello");
+    let chunk = Frame {
+        kind: FrameKind::Chunk,
+        aux,
+        payload,
+    };
+    stream.write_all(&chunk.encode()).expect("send chunk");
+    (stream, (hello.len() + FRAME_HEADER_LEN) as u64)
+}
+
+/// A checksum-valid CHUNK whose record count dwarfs its one-byte payload
+/// is a located error in both session kinds, raised before the worker
+/// reserves room for 4 billion records; a sibling streaming meanwhile
+/// finishes byte-identical to batch.
+#[test]
+fn oversized_record_count_gets_located_error() {
+    let server = Server::bind(Listen::parse("127.0.0.1:0"), ServeConfig::default())
+        .expect("bind fault server");
+    let address = server.address();
+
+    let sibling = {
+        let address = address.clone();
+        let bundle = record_benchmark(Benchmark::Blackscholes, InputSize::SimSmall);
+        thread::spawn(move || {
+            let config = serve_config();
+            let online = online_outcome(&address, "sibling", &bundle, config, 16)
+                .expect("sibling session failed");
+            (batch_outcome(&bundle, config), online)
+        })
+    };
+    for spec in [
+        SessionSpec::trace("liar", serve_config()),
+        SessionSpec::events("liar", None),
+    ] {
+        let (stream, payload_at) = send_raw_chunk(&address, &spec, u32::MAX, vec![0x02]);
+        let error = read_error(&stream);
+        assert_eq!(error.offset, payload_at, "{}: {}", spec.mode, error.message);
+        assert!(
+            error.message.contains("record count"),
+            "{}: unexpected error message: {}",
+            spec.mode,
+            error.message
+        );
+    }
+
+    let (batch, online) = sibling.join().expect("sibling thread panicked");
+    let divergences = diff_outcomes(&batch, &online);
+    assert!(
+        divergences.is_empty(),
+        "sibling diverged beside an oversized record count: {divergences:#?}"
+    );
+    assert_session_conforms(
+        &address,
+        "after-count",
+        &record_program(&GenProgram::generate(7)),
+    );
+    drop(server);
+}
+
+/// A malformed record inside a chunk is located at its own byte on the
+/// connection, in both session kinds — not at the payload's first byte.
+#[test]
+fn chunk_decode_error_names_the_bad_byte() {
+    let server = Server::bind(Listen::parse("127.0.0.1:0"), ServeConfig::default())
+        .expect("bind fault server");
+    let address = server.address();
+
+    let call = CallNumber::from_raw;
+    let events = encode_chunk_payload(&[
+        EventRecord::Call {
+            parent_call: CallNumber::ROOT,
+            call: call(1),
+            ctx: sigil_callgrind::ContextId(1),
+        },
+        EventRecord::Transfer {
+            from_call: call(1),
+            to_call: call(2),
+            bytes: 64,
+        },
+    ]);
+    let trace = encode_chunk_payload(&[
+        TraceRecord::Sym {
+            id: 0,
+            name: "main".to_owned(),
+        },
+        TraceRecord::Event(RuntimeEvent::Call {
+            callee: FunctionId::from_raw(0),
+        }),
+    ]);
+    for (spec, mut payload) in [
+        (SessionSpec::events("bad-tag", None), events),
+        (SessionSpec::trace("bad-tag", serve_config()), trace),
+    ] {
+        let good = payload.len() as u64;
+        payload.push(0x7f); // no record kind uses this tag
+        let (stream, payload_at) = send_raw_chunk(&address, &spec, 3, payload);
+        let error = read_error(&stream);
+        assert_eq!(
+            error.offset,
+            payload_at + good,
+            "{}: {}",
+            spec.mode,
+            error.message
+        );
+        assert!(
+            error.message.contains("unknown record tag"),
+            "{}: unexpected error message: {}",
+            spec.mode,
+            error.message
+        );
+    }
     drop(server);
 }
 
@@ -245,7 +370,7 @@ fn credit_violation_is_rejected() {
     let chunk = Frame {
         kind: FrameKind::Chunk,
         aux: events.len() as u32,
-        payload: encode_trace_records(&events),
+        payload: encode_chunk_payload(&events),
     }
     .encode();
     for _ in 0..64 {

@@ -134,10 +134,20 @@ fn trace_io_round_trips_thread_switches() {
     let (rec, symbols) = engine.finish_with_symbols();
     let events = rec.into_events();
 
-    let mut buf = Vec::new();
-    sigil::trace::io::write_trace(&mut buf, &symbols, &events).expect("write");
-    let (_, loaded) = sigil::trace::io::read_trace(&mut buf.as_slice()).expect("read");
-    assert_eq!(events, loaded);
+    use sigil::core::{BinWriter, ChunkStream, TraceRecord};
+    let mut writer = BinWriter::with_chunk_records(Vec::new(), 2).expect("vec");
+    for record in TraceRecord::of_trace(&symbols, &events) {
+        writer.push(&record).expect("vec");
+    }
+    let (_, bytes) = writer.finish().expect("vec");
+    let mut stream = ChunkStream::<_, TraceRecord>::new(bytes.as_slice()).expect("header");
+    let mut loaded_symbols = sigil::trace::SymbolTable::new();
+    let mut loaded = RecordingObserver::new();
+    while let Some(records) = stream.next_chunk().expect("chunk decodes") {
+        TraceRecord::apply(records, &mut loaded_symbols, &mut loaded).expect("symbols in order");
+    }
+    assert_eq!(events, loaded.into_events());
+    assert_eq!(symbols, loaded_symbols);
 }
 
 /// A sharing-heavy interleaving touching several shadow chunks from
