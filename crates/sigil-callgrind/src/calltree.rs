@@ -145,7 +145,7 @@ impl CallTree {
         {
             child
         } else {
-            let id = ContextId(u32::try_from(self.nodes.len()).expect("context count fits u32"));
+            let id = Self::mint(self.nodes.len());
             self.nodes.push(ContextNode {
                 func: Some(func),
                 parent: Some(cur),
@@ -160,6 +160,16 @@ impl CallTree {
         self.nodes[ctx.index()].calls += 1;
         self.stack.push(ctx);
         ctx
+    }
+
+    /// The id of the `index`-th context. `u32::MAX` is never minted:
+    /// shadow memory stores a context id plus one, so that zero can mean
+    /// "no owner" (`sigil_mem::Owner`).
+    fn mint(index: usize) -> ContextId {
+        match u32::try_from(index) {
+            Ok(id) if id != u32::MAX => ContextId(id),
+            _ => panic!("calltree is full: context index {index} is not below u32::MAX"),
+        }
     }
 
     /// Leaves the current context (no-op at the root).
@@ -364,6 +374,18 @@ mod tests {
         }
         assert!(tree.len() <= CallTree::MAX_DEPTH + 2);
         assert_eq!(tree.depth(), CallTree::MAX_DEPTH + 10);
+    }
+
+    #[test]
+    fn last_mintable_context_is_below_u32_max() {
+        let last = u32::MAX as usize - 1;
+        assert_eq!(CallTree::mint(last), ContextId(u32::MAX - 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "calltree is full")]
+    fn context_u32_max_is_never_minted() {
+        CallTree::mint(u32::MAX as usize);
     }
 
     #[test]

@@ -348,6 +348,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown option `{other}`")),
         }
     }
+    sigil_config(&opts).validate()?;
     Ok(opts)
 }
 
@@ -1590,6 +1591,18 @@ mod tests {
         assert!(parse_options(&args(&["vips", "--shards", "0"])).is_err());
         assert!(parse_options(&args(&["vips", "--shards", "x"])).is_err());
         assert!(parse_options(&args(&["vips", "--shards"])).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_out_of_range_profiler_settings() {
+        let err = parse_options(&args(&["vips", "--limit", "0"])).expect_err("limit 0");
+        assert!(err.contains("shadow limit"), "{err}");
+        let err = parse_options(&args(&["vips", "--lines", "3"])).expect_err("lines 3");
+        assert!(err.contains("line size"), "{err}");
+        let huge = usize::MAX.to_string();
+        let err = parse_options(&args(&["vips", "--shards", &huge])).expect_err("huge shards");
+        assert!(err.contains("shard count"), "{err}");
+        assert!(parse_options(&args(&["vips", "--limit", "1", "--lines", "8"])).is_ok());
     }
 
     #[test]

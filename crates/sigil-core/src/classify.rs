@@ -5,6 +5,9 @@
 //! per-context communication counts, the producer→consumer edges and, in
 //! reuse mode, the per-context reuse aggregates. [`Tally::read`] and
 //! [`Tally::write`] are the only code that advances a [`ShadowObject`].
+//! They are generic over the slot's reuse part ([`ReuseSlot`]): the
+//! default mode runs them on 32-byte `ShadowObject`s with no reuse step
+//! compiled in, reuse mode on 56-byte `ShadowObject<ReuseInfo>`s.
 //! What is globally ordered — event-file and phase-profile transfers —
 //! goes back to the caller in [`Transfers`]: serial replay sequences it
 //! at the phase clock as it goes, a shard worker keys it by access index
@@ -13,7 +16,7 @@
 use std::collections::HashMap;
 
 use sigil_callgrind::ContextId;
-use sigil_mem::{MemoryStats, Owner, ReuseInfo, ShadowObject, ShadowTable};
+use sigil_mem::{MemoryStats, Owner, ReuseInfo, ReuseSlot, ShadowObject, ShadowTable};
 use sigil_trace::{CallNumber, FunctionId, Timestamp};
 
 use crate::phase::PhaseProfile;
@@ -88,7 +91,7 @@ fn push_byte<K: PartialEq>(segments: &mut Vec<(K, u64)>, key: K) {
 /// Closes a reader's reuse record (its lifetime ends with the call that
 /// read it) into the reader's context row.
 fn record_reuse(reuse: &mut Vec<ContextReuse>, reader: Owner, info: ReuseInfo) {
-    let idx = reader.ctx as usize;
+    let idx = reader.ctx() as usize;
     while reuse.len() <= idx {
         let next = ContextId(u32::try_from(reuse.len()).expect("context count fits u32"));
         reuse.push(ContextReuse::new(next));
@@ -108,9 +111,12 @@ pub(crate) struct Tally {
 }
 
 impl Tally {
-    pub(crate) fn new(reuse_mode: bool) -> Self {
+    /// An empty tally for a replay over `ShadowObject<R>` slots. It keeps
+    /// reuse rows exactly when `R` keeps a reuse record, so the slot type
+    /// is the one place reuse mode is decided.
+    pub(crate) fn for_slot<R: ReuseSlot>() -> Self {
         Tally {
-            reuse: reuse_mode.then(Vec::new),
+            reuse: R::default().info().map(|_| Vec::new()),
             ..Tally::default()
         }
     }
@@ -134,19 +140,29 @@ impl Tally {
         edge.nonunique += seg.nonunique;
     }
 
+    /// Closes `reader`'s reuse record `info`. Only slots that keep a
+    /// record produce one, and their tally keeps reuse rows.
+    fn close_reuse(&mut self, reader: Owner, info: ReuseInfo) {
+        let reuse = self
+            .reuse
+            .as_mut()
+            .expect("a reuse slot's tally keeps reuse rows");
+        record_reuse(reuse, reader, info);
+    }
+
     /// Classifies a read of `slots` and advances their shadow state.
     /// `producer_fn` resolves a last writer's context to its function.
     /// Transfer segments are appended to `out`; `bytes_read` is the
     /// caller's, which sees the whole access.
-    pub(crate) fn read(
+    pub(crate) fn read<R: ReuseSlot>(
         &mut self,
-        slots: &mut [ShadowObject],
+        slots: &mut [ShadowObject<R>],
         reader: Reader,
         producer_fn: impl Fn(ContextId) -> Option<FunctionId>,
         out: &mut Transfers,
     ) {
         let Reader { owner, func, at } = reader;
-        let consumer = ContextId(owner.ctx);
+        let consumer = ContextId(owner.ctx());
         // Consumer classes flush once, at the end; producer segments
         // flush whenever the last-writer context changes.
         let mut local = ByteCounts::default();
@@ -157,25 +173,25 @@ impl Tally {
         let mut producer_fn_memo: Option<(ContextId, Option<FunctionId>)> = None;
         for obj in slots {
             let repeat = obj.is_repeat_read(owner);
-            let producer = obj.last_writer;
+            let producer = obj.last_writer();
 
             // Reuse accounting: a change of reader flushes the previous
             // reader's record (lifetimes are per function call).
-            if let Some(reuse) = self.reuse.as_mut() {
+            if let Some(info) = obj.reuse().info() {
                 if !repeat {
-                    if let Some(prev_reader) = obj.last_reader {
-                        record_reuse(reuse, prev_reader, obj.reuse);
-                        obj.reuse.reset();
+                    if let Some(prev_reader) = obj.last_reader() {
+                        self.close_reuse(prev_reader, info);
+                        *obj.reuse_mut() = R::default();
                     }
                 }
-                obj.reuse.record_read(at, !repeat);
+                obj.reuse_mut().record_read(at, !repeat);
             }
             obj.record_read(owner);
 
             // Never-written bytes are program input, attributed to the
             // synthetic root producer.
             let (producer_ctx, producer_call) = match producer {
-                Some(p) => (ContextId(p.ctx), p.call),
+                Some(p) => (ContextId(p.ctx()), p.call()),
                 None => (ContextId::ROOT, CallNumber::ROOT),
             };
             let producer_func = match producer_fn_memo {
@@ -191,7 +207,7 @@ impl Tally {
             // the local class, so a thread re-reading data a sibling
             // wrote into "its own" function is still charged with the
             // cross-thread transfer.
-            let is_inter = producer.is_some_and(|p| p.thread != owner.thread);
+            let is_inter = producer.is_some_and(|p| p.thread() != owner.thread());
             let is_local = !is_inter && producer.is_some() && producer_func == func;
             if is_inter {
                 inter.add(repeat);
@@ -217,7 +233,7 @@ impl Tally {
             // the producer — including a later call of the same function
             // (classified *local* above, but still a real dependency
             // between the two call nodes of the Figure 3 construction).
-            if !repeat && producer.is_some() && producer_call != owner.call {
+            if !repeat && producer.is_some() && producer_call != owner.call() {
                 if out.events_on {
                     push_byte(&mut out.calls, producer_call);
                 }
@@ -241,23 +257,26 @@ impl Tally {
 
     /// Makes `writer` the producer of `slots`, closing any open reuse
     /// records (`bytes_written` is the caller's).
-    pub(crate) fn write(&mut self, slots: &mut [ShadowObject], writer: Owner) {
+    pub(crate) fn write<R: ReuseSlot>(&mut self, slots: &mut [ShadowObject<R>], writer: Owner) {
         for obj in slots {
-            if let (Some(reuse), Some(reader)) = (self.reuse.as_mut(), obj.last_reader) {
-                record_reuse(reuse, reader, obj.reuse);
+            if let Some(info) = obj.reuse().info() {
+                if let Some(reader) = obj.last_reader() {
+                    self.close_reuse(reader, info);
+                }
             }
             obj.record_write(writer);
         }
     }
 
     /// Closes the reuse records of bytes still live at the end of the
-    /// run. A shard owns exactly its chunks, so the union of the shards'
-    /// flushes is the serial table's.
-    pub(crate) fn flush_live_reuse(&mut self, table: &ShadowTable<ShadowObject>) {
+    /// run; a tally over slots without one has nothing to close. A shard
+    /// owns exactly its chunks, so the union of the shards' flushes is
+    /// the serial table's.
+    pub(crate) fn flush_live_reuse<R: ReuseSlot>(&mut self, table: &ShadowTable<ShadowObject<R>>) {
         if let Some(reuse) = self.reuse.as_mut() {
             for (_, obj) in table.iter() {
-                if let Some(reader) = obj.last_reader {
-                    record_reuse(reuse, reader, obj.reuse);
+                if let (Some(reader), Some(info)) = (obj.last_reader(), obj.reuse().info()) {
+                    record_reuse(reuse, reader, info);
                 }
             }
         }

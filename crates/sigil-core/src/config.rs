@@ -1,12 +1,13 @@
 //! Sigil profiler configuration.
 
 use sigil_callgrind::CallgrindConfig;
-use sigil_mem::EvictionPolicy;
+use sigil_mem::{EvictionPolicy, LineShadow};
 
 /// Configuration of a [`crate::SigilProfiler`].
 ///
 /// Mirrors the paper's command-line options: reuse monitoring is opt-in
-/// (it roughly doubles memory usage), the shadow-memory limit is opt-in
+/// (it stores 56 instead of 32 shadow bytes per guest byte, 1.75× the
+/// memory of the default mode), the shadow-memory limit is opt-in
 /// (the paper needed it only for `dedup`), line-granularity mode takes a
 /// cache-line size, and event recording enables the "sequence of
 /// dependent events" output representation.
@@ -44,7 +45,7 @@ pub struct SigilConfig {
     /// `N > 1` partitions the address space by chunk (`chunk_key % N`)
     /// and fans per-chunk runs out to `N` worker threads. The resulting
     /// profile is byte-identical to serial replay (see
-    /// [`crate::shard`]).
+    /// [`crate::shard`]). At most [`SigilConfig::MAX_SHARDS`].
     pub shards: usize,
     /// Configuration of the embedded Callgrind-like profiler.
     pub callgrind: CallgrindConfig,
@@ -66,6 +67,10 @@ impl Default for SigilConfig {
 }
 
 impl SigilConfig {
+    /// The most shards a profiler runs. Each shard is a worker thread,
+    /// so [`SigilConfig::validate`] refuses larger counts from outside.
+    pub const MAX_SHARDS: usize = 256;
+
     /// Enables reuse monitoring.
     #[must_use]
     pub fn with_reuse_mode(mut self) -> Self {
@@ -116,6 +121,32 @@ impl SigilConfig {
         self
     }
 
+    /// Checks a configuration built from outside input — command-line
+    /// options, a daemon client's HELLO — before a profiler is made
+    /// from it. [`crate::SigilProfiler::new`] asserts the same bounds.
+    ///
+    /// # Errors
+    ///
+    /// Names the first setting out of range: a line size that is not a
+    /// power of two in `[8, 4096]`, a shadow limit of zero chunks, or
+    /// more than [`SigilConfig::MAX_SHARDS`] shards.
+    pub fn validate(&self) -> Result<(), String> {
+        if let Some(line_size) = self.line_size {
+            LineShadow::check_line_size(line_size)?;
+        }
+        if self.shadow_chunk_limit == Some(0) {
+            return Err("shadow limit must be at least 1 chunk, got 0".to_owned());
+        }
+        if self.shards > Self::MAX_SHARDS {
+            return Err(format!(
+                "shard count must be at most {}, got {}",
+                Self::MAX_SHARDS,
+                self.shards
+            ));
+        }
+        Ok(())
+    }
+
     /// Overrides the embedded Callgrind configuration.
     #[must_use]
     pub fn with_callgrind(mut self, callgrind: CallgrindConfig) -> Self {
@@ -143,6 +174,30 @@ mod tests {
     fn zero_shards_clamps_to_serial() {
         assert_eq!(SigilConfig::default().with_shards(0).shards, 1);
         assert_eq!(SigilConfig::default().with_shards(4).shards, 4);
+    }
+
+    #[test]
+    fn validate_names_the_setting_out_of_range() {
+        assert_eq!(SigilConfig::default().with_line_mode(64).validate(), Ok(()));
+        assert_eq!(
+            SigilConfig::default().with_shadow_limit(1).validate(),
+            Ok(())
+        );
+        for bad in [0, 3, 4, 96, 8192] {
+            let err = SigilConfig::default().with_line_mode(bad).validate();
+            assert!(
+                err.is_err_and(|e| e.contains("line size")),
+                "line size {bad}"
+            );
+        }
+        let err = SigilConfig::default().with_shadow_limit(0).validate();
+        assert!(err.is_err_and(|e| e.contains("shadow limit")));
+        let max = SigilConfig::MAX_SHARDS;
+        assert_eq!(SigilConfig::default().with_shards(max).validate(), Ok(()));
+        for bad in [max + 1, usize::MAX] {
+            let err = SigilConfig::default().with_shards(bad).validate();
+            assert!(err.is_err_and(|e| e.contains("shard count")), "{bad}");
+        }
     }
 
     #[test]

@@ -3,8 +3,10 @@
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
-use sigil_callgrind::{CallgrindProfiler, ContextId};
-use sigil_mem::{LineShadow, MemoryStats, Owner, ShadowObject, ShadowTable};
+use sigil_callgrind::{CallTree, CallgrindProfiler, ContextId};
+use sigil_mem::{
+    EvictionPolicy, LineShadow, MemoryStats, Owner, ReuseInfo, ReuseSlot, ShadowObject, ShadowTable,
+};
 use sigil_trace::{
     CallNumber, ExecutionObserver, MemAccess, OpClock, RuntimeEvent, SymbolTable, Timestamp,
 };
@@ -53,6 +55,51 @@ impl LineReport {
     }
 }
 
+/// The serial shadow table, its slot chosen by `reuse_mode`: only reuse
+/// mode pays for the reuse fields.
+#[derive(Debug)]
+enum Shadow {
+    Plain(ShadowTable<ShadowObject>),
+    Reuse(ShadowTable<ShadowObject<ReuseInfo>>),
+}
+
+impl Shadow {
+    fn new(config: &SigilConfig) -> Self {
+        fn table<T: Default + Clone>(
+            limit: Option<usize>,
+            policy: EvictionPolicy,
+        ) -> ShadowTable<T> {
+            match limit {
+                Some(limit) => ShadowTable::with_chunk_limit(limit, policy),
+                None => ShadowTable::new(),
+            }
+        }
+        // In sharded mode the per-byte state lives in the worker tables
+        // and the dispatch-side residency oracle; this table stays empty.
+        let limit = config.shadow_chunk_limit.filter(|_| config.shards <= 1);
+        if config.reuse_mode {
+            Shadow::Reuse(table(limit, config.eviction))
+        } else {
+            Shadow::Plain(table(limit, config.eviction))
+        }
+    }
+
+    fn stats(&self) -> MemoryStats {
+        match self {
+            Shadow::Plain(table) => table.stats(),
+            Shadow::Reuse(table) => table.stats(),
+        }
+    }
+
+    /// An empty tally for this table's slot type.
+    fn tally(&self) -> Tally {
+        match self {
+            Shadow::Plain(_) => Tally::for_slot::<()>(),
+            Shadow::Reuse(_) => Tally::for_slot::<ReuseInfo>(),
+        }
+    }
+}
+
 /// The Sigil profiler: an [`ExecutionObserver`] that shadows every data
 /// byte to classify communication (see the crate docs for the
 /// methodology).
@@ -64,7 +111,7 @@ impl LineReport {
 pub struct SigilProfiler {
     config: SigilConfig,
     cg: CallgrindProfiler,
-    shadow: ShadowTable<ShadowObject>,
+    shadow: Shadow,
     lines: Option<LineShadow>,
     clock: OpClock,
     call_counter: CallNumber,
@@ -93,22 +140,17 @@ impl SigilProfiler {
     /// Creates a profiler with the given configuration.
     pub fn new(config: SigilConfig) -> Self {
         let sharded = config.shards > 1;
+        let shadow = Shadow::new(&config);
         SigilProfiler {
             config,
             cg: CallgrindProfiler::new(config.callgrind),
-            // In sharded mode the per-byte state lives in the worker
-            // tables and the dispatch-side residency oracle; this table
-            // stays empty.
-            shadow: match config.shadow_chunk_limit {
-                Some(limit) if !sharded => ShadowTable::with_chunk_limit(limit, config.eviction),
-                _ => ShadowTable::new(),
-            },
+            tally: shadow.tally(),
+            shadow,
             lines: config.line_size.map(LineShadow::new),
             clock: OpClock::new(),
             call_counter: CallNumber::ROOT,
             thread_frames: HashMap::from([(0, Vec::with_capacity(64))]),
             current_thread: 0,
-            tally: Tally::new(config.reuse_mode),
             transfers: Transfers::new(config.record_events, config.phase_bucket_ops.is_some()),
             // Sharded event files are sequenced from the dispatch log at
             // the end of the run instead of being built incrementally.
@@ -294,29 +336,18 @@ impl SigilProfiler {
             );
             return;
         }
-        // `runs` borrows `self.shadow`: until it ends, only the disjoint
-        // fields `cg`, `tally` and `transfers` are reachable, so the
-        // pending-op flush and event emission come after the loop.
-        let mut runs = self.shadow.runs_mut(access.addr, access.len());
-        if write {
-            while let Some((_, slots)) = runs.next_run() {
-                self.tally.write(slots, owner);
-            }
-            return;
-        }
         let reader = Reader {
             owner,
             func: reader_fn,
             at,
         };
-        self.transfers.clear();
-        while let Some((_, slots)) = runs.next_run() {
-            self.tally.read(
-                slots,
-                reader,
-                |ctx| tree.node(ctx).func,
-                &mut self.transfers,
-            );
+        let (tally, transfers) = (&mut self.tally, &mut self.transfers);
+        match &mut self.shadow {
+            Shadow::Plain(table) => classify(table, tally, transfers, tree, write, access, reader),
+            Shadow::Reuse(table) => classify(table, tally, transfers, tree, write, access, reader),
+        }
+        if write {
+            return;
         }
         if !self.transfers.calls.is_empty() {
             // Flush the consumer's pending ops first so they precede the
@@ -432,7 +463,9 @@ impl SigilProfiler {
             Some(engine) => self.finish_sharded(engine),
             None => {
                 let memory = self.memory_stats();
-                self.tally.flush_live_reuse(&self.shadow);
+                if let Shadow::Reuse(table) = &self.shadow {
+                    self.tally.flush_live_reuse(table);
+                }
                 let phases = self.phases.take().map(PhaseBuilder::finish);
                 (
                     std::mem::take(&mut self.tally).into_fragment(phases, memory),
@@ -487,6 +520,31 @@ impl SigilProfiler {
             phases: fragment.phases,
             memory: fragment.memory,
         }
+    }
+}
+
+/// The per-byte Table-I pass of one serial access: a write makes
+/// `reader.owner` the producer of every byte, a read classifies them and
+/// leaves its transfer segments in `transfers`.
+fn classify<R: ReuseSlot>(
+    table: &mut ShadowTable<ShadowObject<R>>,
+    tally: &mut Tally,
+    transfers: &mut Transfers,
+    tree: &CallTree,
+    write: bool,
+    access: MemAccess,
+    reader: Reader,
+) {
+    let mut runs = table.runs_mut(access.addr, access.len());
+    if write {
+        while let Some((_, slots)) = runs.next_run() {
+            tally.write(slots, reader.owner);
+        }
+        return;
+    }
+    transfers.clear();
+    while let Some((_, slots)) = runs.next_run() {
+        tally.read(slots, reader, |ctx| tree.node(ctx).func, transfers);
     }
 }
 
@@ -674,6 +732,39 @@ mod tests {
         assert_eq!(r_row.total_reuse_count, 1);
         assert!(r_row.avg_reused_lifetime() >= 100.0);
         assert!(!reuse.is_empty());
+    }
+
+    #[test]
+    fn reader_change_starts_a_fresh_reuse_record() {
+        // A read by another call closes the previous reader's record and
+        // starts the new reader's at reuse count 0, with no write between.
+        for shards in [1, 2] {
+            let config = SigilConfig::default().with_reuse_mode().with_shards(shards);
+            let profile = run(config, |e| {
+                e.scoped_named("main", |e| {
+                    e.scoped_named("w", |e| e.write(0x800, 1));
+                    e.scoped_named("a", |e| {
+                        for _ in 0..3 {
+                            e.read(0x800, 1);
+                        }
+                    });
+                    e.scoped_named("b", |e| e.read(0x800, 1));
+                });
+            });
+            let a = profile.context_reuse_by_name("a").expect("a reuse");
+            assert_eq!(
+                (a.reused_bytes, a.total_reuse_count),
+                (1, 2),
+                "shards={shards}"
+            );
+            let b = profile.context_reuse_by_name("b").expect("b reuse");
+            assert_eq!(
+                (b.zero_reuse_bytes, b.reused_bytes),
+                (1, 0),
+                "shards={shards}"
+            );
+            assert_eq!(b.total_reuse_count, 0, "shards={shards}");
+        }
     }
 
     #[test]

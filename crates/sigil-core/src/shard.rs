@@ -64,7 +64,10 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use sigil_callgrind::{CallTree, ContextId};
-use sigil_mem::{chunk_key, chunk_run, MemoryStats, Owner, ShadowObject, ShadowTable, CHUNK_SLOTS};
+use sigil_mem::{
+    chunk_key, chunk_run, MemoryStats, Owner, ReuseInfo, ReuseSlot, ShadowObject, ShadowTable,
+    CHUNK_SLOTS,
+};
 use sigil_trace::{Addr, CallNumber, FunctionId, Timestamp};
 
 use crate::classify::{Reader, Tally, Transfers};
@@ -427,6 +430,8 @@ pub(crate) struct ShardEngine {
     oracle: Option<ShadowTable<()>>,
     /// Counter mirror for the elided-oracle path.
     route: RouteStats,
+    /// Size of the workers' shadow slot, at which residency is priced.
+    slot_bytes: u64,
     senders: Vec<SyncSender<Vec<ShardMsg>>>,
     batches: Vec<Vec<ShardMsg>>,
     /// Whether the last message staged to this shard is an `Access`
@@ -477,6 +482,12 @@ impl std::fmt::Debug for ShardEngine {
 
 impl ShardEngine {
     pub(crate) fn new(config: &SigilConfig) -> Self {
+        assert!(
+            config.shards <= SigilConfig::MAX_SHARDS,
+            "shard count must be at most {}, got {}",
+            SigilConfig::MAX_SHARDS,
+            config.shards
+        );
         let shards = config.shards.max(2);
         let oracle = config.shadow_chunk_limit.map(|limit| {
             let mut oracle = ShadowTable::with_chunk_limit(limit, config.eviction);
@@ -493,7 +504,12 @@ impl ShardEngine {
         let mut handles = Vec::with_capacity(shards);
         let mut received_batches = Vec::with_capacity(shards);
         let mut resident_chunks = Vec::with_capacity(shards);
-        let (reuse_mode, events_on) = (config.reuse_mode, config.record_events);
+        let (worker, slot_bytes) = if config.reuse_mode {
+            slot_worker::<ReuseInfo>()
+        } else {
+            slot_worker::<()>()
+        };
+        let events_on = config.record_events;
         let phase_bucket_ops = config.phase_bucket_ops;
         for shard in 0..shards {
             let (tx, rx) = sync_channel::<Vec<ShardMsg>>(CHANNEL_DEPTH);
@@ -504,7 +520,6 @@ impl ShardEngine {
             resident_chunks.push(Arc::clone(&resident));
             let spec = WorkerSpec {
                 shard,
-                reuse_mode,
                 events_on,
                 phase_bucket_ops,
                 batches_received: received,
@@ -513,7 +528,7 @@ impl ShardEngine {
             handles.push(Some(
                 std::thread::Builder::new()
                     .name(format!("sigil-shard-{shard}"))
-                    .spawn(move || shard_worker(spec, rx))
+                    .spawn(move || worker(spec, rx))
                     .expect("spawn shard worker"),
             ));
         }
@@ -521,6 +536,7 @@ impl ShardEngine {
             shards,
             oracle,
             route: RouteStats::default(),
+            slot_bytes,
             senders,
             batches: (0..shards).map(|_| Vec::with_capacity(BATCH)).collect(),
             staging_open: vec![false; shards],
@@ -839,18 +855,17 @@ impl ShardEngine {
     /// The serial-equivalent shadow counters.
     ///
     /// With a dispatch oracle these come straight from it (whose `T =
-    /// ()` stores no bytes — residency is re-priced at the serial
-    /// table's slot size) and are exact at any time. With the oracle
-    /// elided the access counters ([`RouteStats`]) are exact, and the
-    /// residency comes from the workers' per-batch snapshots — lagging
-    /// in-flight batches mid-run, exact once [`ShardEngine::finish`] has
-    /// joined the workers (each stores its final count after its last
-    /// batch).
+    /// ()` stores no bytes — residency is re-priced at the slot size of
+    /// the active mode, the serial table's) and are exact at any time.
+    /// With the oracle elided the access counters ([`RouteStats`]) are
+    /// exact, and the residency comes from the workers' per-batch
+    /// snapshots — lagging in-flight batches mid-run, exact once
+    /// [`ShardEngine::finish`] has joined the workers (each stores its
+    /// final count after its last batch).
     pub(crate) fn memory_stats(&self) -> MemoryStats {
         if let Some(oracle) = &self.oracle {
             let mut stats = oracle.stats();
-            stats.resident_bytes =
-                stats.resident_slots * std::mem::size_of::<ShadowObject>() as u64;
+            stats.resident_bytes = stats.resident_slots * self.slot_bytes;
             return stats;
         }
         let resident_chunks: u64 = self
@@ -861,8 +876,7 @@ impl ShardEngine {
         MemoryStats {
             resident_chunks,
             resident_slots: resident_chunks * CHUNK_SLOTS as u64,
-            resident_bytes: resident_chunks
-                * (CHUNK_SLOTS * std::mem::size_of::<ShadowObject>()) as u64,
+            resident_bytes: resident_chunks * CHUNK_SLOTS as u64 * self.slot_bytes,
             evicted_chunks: 0,
             accesses: self.route.accesses,
             mru_hits: self.route.mru_hits,
@@ -911,7 +925,6 @@ impl ShardEngine {
 /// Per-worker launch parameters.
 struct WorkerSpec {
     shard: usize,
-    reuse_mode: bool,
     events_on: bool,
     /// Phase-profile bucket width; `Some` turns on transfer bucketing.
     phase_bucket_ops: Option<u64>,
@@ -923,9 +936,9 @@ struct WorkerSpec {
     resident_chunks: Arc<AtomicU64>,
 }
 
-/// Per-worker replay state.
-struct WorkerState {
-    table: ShadowTable<ShadowObject>,
+/// Per-worker replay state; `R` is the shadow slot's reuse part.
+struct WorkerState<R> {
+    table: ShadowTable<ShadowObject<R>>,
     tally: Tally,
     /// Context → function map, filled by `CtxDefs` broadcasts.
     ctx_funcs: Vec<Option<FunctionId>>,
@@ -936,11 +949,23 @@ struct WorkerState {
     evictions_applied: u64,
 }
 
-fn shard_worker(spec: WorkerSpec, rx: Receiver<Vec<ShardMsg>>) -> ShardResult {
+/// A shard worker's entry point.
+type WorkerFn = fn(WorkerSpec, Receiver<Vec<ShardMsg>>) -> ShardResult;
+
+/// The shard worker for slot reuse part `R`, with the size of the slot it
+/// shadows each guest byte with.
+fn slot_worker<R: ReuseSlot>() -> (WorkerFn, u64) {
+    (
+        shard_worker::<R>,
+        std::mem::size_of::<ShadowObject<R>>() as u64,
+    )
+}
+
+fn shard_worker<R: ReuseSlot>(spec: WorkerSpec, rx: Receiver<Vec<ShardMsg>>) -> ShardResult {
     let _span = sigil_obs::span_with(|| format!("shard-worker-{}", spec.shard));
-    let mut state = WorkerState {
+    let mut state = WorkerState::<R> {
         table: ShadowTable::new(),
-        tally: Tally::new(spec.reuse_mode),
+        tally: Tally::for_slot::<R>(),
         ctx_funcs: Vec::new(),
         scratch: Transfers::new(spec.events_on, spec.phase_bucket_ops.is_some()),
         transfers: TransferMap::new(),
@@ -986,7 +1011,7 @@ fn shard_worker(spec: WorkerSpec, rx: Receiver<Vec<ShardMsg>>) -> ShardResult {
 /// as one run — every byte sees the same owner, so sub-access boundaries
 /// are unobservable. A read train splits back into its sub-accesses,
 /// each with its own index, timestamp and phase stamp.
-fn apply_access(state: &mut WorkerState, rec: AccessRecord) {
+fn apply_access<R: ReuseSlot>(state: &mut WorkerState<R>, rec: AccessRecord) {
     let WorkerState {
         table,
         tally,

@@ -18,8 +18,9 @@
 //!   rather than every byte" (§IV-B3).
 //!
 //! [`ShadowTable`] is the generic two-level table; [`ShadowObject`] is the
-//! concrete per-byte record from the paper's Table I (baseline fields plus
-//! the reuse-mode extension [`ReuseInfo`]).
+//! concrete per-byte record from the paper's Table I: the 32-byte baseline
+//! fields, plus the reuse-mode extension [`ReuseInfo`] only in
+//! `ShadowObject<ReuseInfo>`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,6 +31,6 @@ pub mod stats;
 pub mod table;
 
 pub use line::{LineShadow, LineStats};
-pub use object::{Owner, ReuseInfo, ShadowObject};
+pub use object::{Owner, ReuseInfo, ReuseSlot, ShadowObject};
 pub use stats::MemoryStats;
 pub use table::{chunk_key, chunk_run, EvictionPolicy, RunsMut, ShadowTable, CHUNK_SLOTS};

@@ -63,13 +63,28 @@ impl LineShadow {
     ///
     /// Panics unless `line_size` is a power of two in `[8, 4096]`.
     pub fn new(line_size: u32) -> Self {
-        assert!(
-            line_size.is_power_of_two() && (8..=4096).contains(&line_size),
-            "line size must be a power of two between 8 and 4096, got {line_size}"
-        );
+        if let Err(message) = Self::check_line_size(line_size) {
+            panic!("{message}");
+        }
         LineShadow {
             table: ShadowTable::new(),
             line_shift: line_size.trailing_zeros(),
+        }
+    }
+
+    /// Checks that `line_size` is one a line shadow supports: a power of
+    /// two in `[8, 4096]`.
+    ///
+    /// # Errors
+    ///
+    /// Says which sizes are supported and which was given.
+    pub fn check_line_size(line_size: u32) -> Result<(), String> {
+        if line_size.is_power_of_two() && (8..=4096).contains(&line_size) {
+            Ok(())
+        } else {
+            Err(format!(
+                "line size must be a power of two between 8 and 4096, got {line_size}"
+            ))
         }
     }
 

@@ -346,6 +346,12 @@ fn handle_connection(mut conn: Conn, shared: Arc<Shared>) {
                 );
                 return;
             }
+            // Out-of-range settings would panic the profiler after
+            // WELCOME, leaking the session: refuse them here instead.
+            if let Err(message) = spec.config().validate() {
+                send_error(&writer, 0, format!("bad HELLO: {message}"));
+                return;
+            }
             let session = shared.session_started();
             let failed = run_session(conn, writer, spec, session, &shared, offset);
             shared.session_ended(failed.is_err());

@@ -18,7 +18,8 @@ use sigil_core::{EventRecord, TraceRecord};
 use sigil_oracle::harness::{record_benchmark, record_program, TraceBundle};
 use sigil_oracle::serve_axis::{batch_outcome, diff_outcomes, online_outcome, serve_config};
 use sigil_serve::{
-    Client, Frame, FrameKind, Listen, ServeConfig, Server, SessionSpec, WireError, FRAME_HEADER_LEN,
+    shutdown_server, Client, Frame, FrameKind, Listen, ServeConfig, Server, SessionSpec, WireError,
+    FRAME_HEADER_LEN,
 };
 use sigil_trace::{CallNumber, FunctionId, OpClass, RuntimeEvent};
 use sigil_vm::GenProgram;
@@ -110,6 +111,65 @@ fn bit_flipped_frame_gets_located_error() {
         &record_program(&GenProgram::generate(3)),
     );
     drop(server);
+}
+
+/// A HELLO whose profiler settings are out of range gets an ERROR naming
+/// the setting instead of a WELCOME: no session opens, a sibling session
+/// still conforms, and the daemon drains at once on shutdown.
+#[test]
+fn out_of_range_hello_settings_get_an_error() {
+    let server = Server::bind(Listen::parse("127.0.0.1:0"), ServeConfig::default())
+        .expect("bind fault server");
+    let address = server.address();
+
+    let good = SessionSpec::trace("bad-settings", serve_config());
+    let bad = [
+        (
+            SessionSpec {
+                shadow_limit: Some(0),
+                ..good.clone()
+            },
+            "shadow limit",
+        ),
+        (
+            SessionSpec {
+                line_size: Some(3),
+                ..good.clone()
+            },
+            "line size",
+        ),
+        (
+            SessionSpec {
+                shards: usize::MAX,
+                ..good.clone()
+            },
+            "shard count",
+        ),
+    ];
+    for (spec, setting) in bad {
+        let mut stream = TcpStream::connect(&address).expect("raw connect");
+        stream
+            .write_all(&hello_frame(&spec).encode())
+            .expect("send hello");
+        let error = read_error(&stream);
+        assert_eq!(error.offset, 0, "error not located at the HELLO");
+        assert!(
+            error.message.contains(setting),
+            "error does not name the {setting}: {}",
+            error.message
+        );
+    }
+
+    assert_session_conforms(
+        &address,
+        "after-bad-hello",
+        &record_program(&GenProgram::generate(4)),
+    );
+    let summary = shutdown_server(&address).expect("shutdown");
+    assert!(summary.drained, "sessions left running: {summary:?}");
+    assert_eq!(summary.active, 0);
+    assert_eq!(summary.opened, 1, "only the conforming session opens");
+    server.wait();
 }
 
 /// Opens a raw session and sends one CHUNK frame. Returns the stream

@@ -13,7 +13,7 @@
 //! The bar is the strongest one the design claims: the sharded profile
 //! serializes **byte-identically** to the serial one, for every policy ×
 //! limit × shard-count combination, with reuse, line and event
-//! collection all enabled.
+//! collection all enabled, and in the default mode too.
 
 use sigil_core::{Profile, SigilConfig, SigilProfiler};
 use sigil_mem::EvictionPolicy;
@@ -107,6 +107,45 @@ fn sharded_replay_survives_adversarial_stress() {
                     serial, sharded,
                     "policy={policy:?} limit={limit} shards={shards}"
                 );
+            }
+        }
+    }
+}
+
+/// What one shadowed guest byte costs: a 32-byte slot in the default
+/// mode, 56 with reuse mode's fields. Serial replay prices its own table;
+/// sharded replay prices the dispatch oracle's slot count under a limit
+/// and the workers' chunk counts without one — all at the slot size of
+/// the active mode, so the profiles stay byte-identical. Line mode is
+/// off: line-table slots are priced separately.
+#[test]
+fn resident_bytes_price_the_slot_of_the_active_mode() {
+    for (mode, config, slot) in [
+        ("default", SigilConfig::default().with_events(), 32),
+        (
+            "reuse",
+            SigilConfig::default().with_reuse_mode().with_events(),
+            56,
+        ),
+    ] {
+        for limit in [None, Some(2)] {
+            let base = limit.map_or(config, |limit| config.with_shadow_limit(limit));
+            let serial = run(base);
+            let memory = serial.memory;
+            assert!(
+                memory.resident_slots > 0,
+                "{mode} limit={limit:?}: nothing resident"
+            );
+            assert_eq!(
+                memory.resident_bytes,
+                memory.resident_slots * slot,
+                "{mode} limit={limit:?}: resident bytes not priced at {slot} per slot"
+            );
+            let serial = serde_json::to_string(&serial).expect("serializes");
+            for shards in [2, 8] {
+                let sharded =
+                    serde_json::to_string(&run(base.with_shards(shards))).expect("serializes");
+                assert_eq!(serial, sharded, "{mode} limit={limit:?} shards={shards}");
             }
         }
     }
