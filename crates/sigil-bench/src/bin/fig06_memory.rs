@@ -1,5 +1,7 @@
 //! **Figure 6**: memory usage for baseline function-level profiling,
-//! simsmall vs simmedium inputs.
+//! simsmall vs simmedium inputs. The measured quantity is the bytes the
+//! profiler's granule table holds for its resident chunks
+//! (`MemoryStats::resident_bytes`).
 //!
 //! Paper: "The memory increase … remains consistent for increased
 //! datasize. facesim and raytrace are intensive benchmarks that use
@@ -12,7 +14,7 @@ use sigil_workloads::{Benchmark, InputSize};
 fn main() {
     let _obs = sigil_bench::obs::session("fig06_memory");
     header(
-        "Figure 6: shadow-memory usage for baseline profiling",
+        "Figure 6: shadow-memory usage for baseline profiling (granule-table bytes)",
         "usage grows with data size; facesim/raytrace/dedup are the memory-intensive ones",
     );
     println!(

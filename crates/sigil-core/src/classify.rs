@@ -1,13 +1,17 @@
-//! The per-byte Table-I kernel (§II-B), shared by serial replay and the
-//! shard workers.
+//! The Table-I kernel (§II-B), shared by serial replay and the shard
+//! workers.
 //!
 //! [`Tally`] owns everything classified bytes add to a profile: the
 //! per-context communication counts, the producer→consumer edges and, in
 //! reuse mode, the per-context reuse aggregates. [`Tally::read`] and
 //! [`Tally::write`] are the only code that advances a [`ShadowObject`].
-//! They are generic over the slot's reuse part ([`ReuseSlot`]): the
-//! default mode runs them on 32-byte `ShadowObject`s with no reuse step
-//! compiled in, reuse mode on 56-byte `ShadowObject<ReuseInfo>`s.
+//! They step **cells** of a [`GranuleTable`], each with its byte weight:
+//! 4 for a whole granule, 1 for a split byte. A cell's bytes share one
+//! state, so stepping it once and counting its weight is exactly what a
+//! per-byte pass over those bytes would do. The kernel is generic over
+//! the slot's reuse part ([`ReuseSlot`]): the default mode runs it on
+//! 32-byte `ShadowObject`s with no reuse step compiled in, reuse mode on
+//! 56-byte `ShadowObject<ReuseInfo>`s.
 //! What is globally ordered — event-file and phase-profile transfers —
 //! goes back to the caller in [`Transfers`]: serial replay sequences it
 //! at the phase clock as it goes, a shard worker keys it by access index
@@ -16,7 +20,7 @@
 use std::collections::HashMap;
 
 use sigil_callgrind::ContextId;
-use sigil_mem::{MemoryStats, Owner, ReuseInfo, ReuseSlot, ShadowObject, ShadowTable};
+use sigil_mem::{GranuleTable, MemoryStats, Owner, ReuseInfo, ReuseSlot, ShadowObject};
 use sigil_trace::{CallNumber, FunctionId, Timestamp};
 
 use crate::phase::PhaseProfile;
@@ -32,11 +36,11 @@ struct ByteCounts {
 }
 
 impl ByteCounts {
-    fn add(&mut self, repeat: bool) {
+    fn add(&mut self, repeat: bool, bytes: u64) {
         if repeat {
-            self.nonunique += 1;
+            self.nonunique += bytes;
         } else {
-            self.unique += 1;
+            self.unique += bytes;
         }
     }
 }
@@ -80,24 +84,28 @@ impl Transfers {
     }
 }
 
-/// Extends the last segment when `key` matches it, else opens one.
-fn push_byte<K: PartialEq>(segments: &mut Vec<(K, u64)>, key: K) {
+/// Extends the last segment by `bytes` when `key` matches it, else opens
+/// one.
+fn push_bytes<K: PartialEq>(segments: &mut Vec<(K, u64)>, key: K, bytes: u64) {
     match segments.last_mut() {
-        Some((last, bytes)) if *last == key => *bytes += 1,
-        _ => segments.push((key, 1)),
+        Some((last, len)) if *last == key => *len += bytes,
+        _ => segments.push((key, bytes)),
     }
 }
 
-/// Closes a reader's reuse record (its lifetime ends with the call that
-/// read it) into the reader's context row.
-fn record_reuse(reuse: &mut Vec<ContextReuse>, reader: Owner, info: ReuseInfo) {
+/// Closes a reader's reuse record over `bytes` bytes (its lifetime ends
+/// with the call that read it) into the reader's context row.
+fn record_reuse(reuse: &mut Vec<ContextReuse>, reader: Owner, info: ReuseInfo, bytes: u64) {
     let idx = reader.ctx() as usize;
     while reuse.len() <= idx {
         let next = ContextId(u32::try_from(reuse.len()).expect("context count fits u32"));
         reuse.push(ContextReuse::new(next));
     }
-    reuse[idx].record(info.reuse_count, info.lifetime());
+    reuse[idx].record(info.reuse_count, info.lifetime(), bytes);
 }
+
+/// A producer→consumer edge key.
+type EdgeKey = (ContextId, ContextId);
 
 /// Communication tallies over the bytes one replay classified: the
 /// whole address space serially, one shard's chunks in a worker.
@@ -105,7 +113,12 @@ fn record_reuse(reuse: &mut Vec<ContextReuse>, reader: Owner, info: ReuseInfo) {
 pub(crate) struct Tally {
     /// Per-context tallies (index = raw context id).
     comm: Vec<CommStats>,
-    edges: HashMap<(ContextId, ContextId), ByteCounts>,
+    /// Edge counts, in first-seen order, found through `edge_index`.
+    edges: Vec<(EdgeKey, ByteCounts)>,
+    edge_index: HashMap<EdgeKey, usize>,
+    /// The last edge charged and its index in `edges`: consecutive reads
+    /// overwhelmingly charge the same edge, so they skip the hash.
+    last_edge: Option<(EdgeKey, usize)>,
     /// Per-context reuse aggregates (reuse mode only).
     reuse: Option<Vec<ContextReuse>>,
 }
@@ -135,133 +148,75 @@ impl Tally {
         let stats = self.comm_mut(producer);
         stats.output_unique_bytes += seg.unique;
         stats.output_nonunique_bytes += seg.nonunique;
-        let edge = self.edges.entry((producer, consumer)).or_default();
+        let key = (producer, consumer);
+        let idx = match self.last_edge {
+            Some((last, idx)) if last == key => idx,
+            _ => {
+                let next = self.edges.len();
+                let idx = *self.edge_index.entry(key).or_insert(next);
+                if idx == next {
+                    self.edges.push((key, ByteCounts::default()));
+                }
+                self.last_edge = Some((key, idx));
+                idx
+            }
+        };
+        let edge = &mut self.edges[idx].1;
         edge.unique += seg.unique;
         edge.nonunique += seg.nonunique;
     }
 
-    /// Closes `reader`'s reuse record `info`. Only slots that keep a
-    /// record produce one, and their tally keeps reuse rows.
-    fn close_reuse(&mut self, reader: Owner, info: ReuseInfo) {
+    /// Closes `reader`'s reuse record `info` over `bytes` bytes. Only
+    /// slots that keep a record produce one, and their tally keeps reuse
+    /// rows.
+    fn close_reuse(&mut self, reader: Owner, info: ReuseInfo, bytes: u64) {
         let reuse = self
             .reuse
             .as_mut()
             .expect("a reuse slot's tally keeps reuse rows");
-        record_reuse(reuse, reader, info);
+        record_reuse(reuse, reader, info, bytes);
     }
 
-    /// Classifies a read of `slots` and advances their shadow state.
-    /// `producer_fn` resolves a last writer's context to its function.
-    /// Transfer segments are appended to `out`; `bytes_read` is the
-    /// caller's, which sees the whole access.
-    pub(crate) fn read<R: ReuseSlot>(
-        &mut self,
-        slots: &mut [ShadowObject<R>],
+    /// Starts classifying one read access by `reader`. Feed it the
+    /// access's cells in byte order through [`Read::cells`], then call
+    /// [`Read::finish`]. `producer_fn` resolves a last writer's context
+    /// to its function. Transfer segments are appended to `out`;
+    /// `bytes_read` is the caller's, which sees the whole access.
+    pub(crate) fn read<'a, F>(
+        &'a mut self,
         reader: Reader,
-        producer_fn: impl Fn(ContextId) -> Option<FunctionId>,
-        out: &mut Transfers,
-    ) {
-        let Reader { owner, func, at } = reader;
-        let consumer = ContextId(owner.ctx());
-        // Consumer classes flush once, at the end; producer segments
-        // flush whenever the last-writer context changes.
-        let mut local = ByteCounts::default();
-        let mut input = ByteCounts::default();
-        let mut inter = ByteCounts::default();
-        let mut seg: Option<(ContextId, ByteCounts)> = None;
-        // Consecutive bytes overwhelmingly share one last writer.
-        let mut producer_fn_memo: Option<(ContextId, Option<FunctionId>)> = None;
-        for obj in slots {
-            let repeat = obj.is_repeat_read(owner);
-            let producer = obj.last_writer();
-
-            // Reuse accounting: a change of reader flushes the previous
-            // reader's record (lifetimes are per function call).
-            if let Some(info) = obj.reuse().info() {
-                if !repeat {
-                    if let Some(prev_reader) = obj.last_reader() {
-                        self.close_reuse(prev_reader, info);
-                        *obj.reuse_mut() = R::default();
-                    }
-                }
-                obj.reuse_mut().record_read(at, !repeat);
-            }
-            obj.record_read(owner);
-
-            // Never-written bytes are program input, attributed to the
-            // synthetic root producer.
-            let (producer_ctx, producer_call) = match producer {
-                Some(p) => (ContextId(p.ctx()), p.call()),
-                None => (ContextId::ROOT, CallNumber::ROOT),
-            };
-            let producer_func = match producer_fn_memo {
-                Some((memo_ctx, f)) if memo_ctx == producer_ctx => f,
-                _ => {
-                    let f = producer_fn(producer_ctx);
-                    producer_fn_memo = Some((producer_ctx, f));
-                    f
-                }
-            };
-            // A last writer on another guest thread makes the byte
-            // inter-thread input — disjoint from (and checked before)
-            // the local class, so a thread re-reading data a sibling
-            // wrote into "its own" function is still charged with the
-            // cross-thread transfer.
-            let is_inter = producer.is_some_and(|p| p.thread() != owner.thread());
-            let is_local = !is_inter && producer.is_some() && producer_func == func;
-            if is_inter {
-                inter.add(repeat);
-            } else if is_local {
-                local.add(repeat);
-            } else {
-                input.add(repeat);
-            }
-            if !is_local {
-                match &mut seg {
-                    Some((seg_ctx, counts)) if *seg_ctx == producer_ctx => counts.add(repeat),
-                    _ => {
-                        let mut counts = ByteCounts::default();
-                        counts.add(repeat);
-                        if let Some((prev, prev_counts)) = seg.replace((producer_ctx, counts)) {
-                            self.flush_producer(prev, consumer, prev_counts);
-                        }
-                    }
-                }
-            }
-            // Event-file dependencies: any unique read of data produced
-            // by a *different dynamic call* orders the consumer after
-            // the producer — including a later call of the same function
-            // (classified *local* above, but still a real dependency
-            // between the two call nodes of the Figure 3 construction).
-            if !repeat && producer.is_some() && producer_call != owner.call() {
-                if out.events_on {
-                    push_byte(&mut out.calls, producer_call);
-                }
-                if out.phases_on {
-                    push_byte(&mut out.ctxs, producer_ctx);
-                }
-            }
+        producer_fn: F,
+        out: &'a mut Transfers,
+    ) -> Read<'a, F>
+    where
+        F: Fn(ContextId) -> Option<FunctionId>,
+    {
+        Read {
+            tally: self,
+            out,
+            reader,
+            producer_fn,
+            local: ByteCounts::default(),
+            input: ByteCounts::default(),
+            inter: ByteCounts::default(),
+            seg: None,
+            producer_fn_memo: None,
         }
-
-        if let Some((prev, prev_counts)) = seg {
-            self.flush_producer(prev, consumer, prev_counts);
-        }
-        let stats = self.comm_mut(consumer);
-        stats.local_unique_bytes += local.unique;
-        stats.local_nonunique_bytes += local.nonunique;
-        stats.input_unique_bytes += input.unique;
-        stats.input_nonunique_bytes += input.nonunique;
-        stats.inter_thread_unique_bytes += inter.unique;
-        stats.inter_thread_nonunique_bytes += inter.nonunique;
     }
 
-    /// Makes `writer` the producer of `slots`, closing any open reuse
-    /// records (`bytes_written` is the caller's).
-    pub(crate) fn write<R: ReuseSlot>(&mut self, slots: &mut [ShadowObject<R>], writer: Owner) {
-        for obj in slots {
+    /// Makes `writer` the producer of `cells`, each covering `weight`
+    /// bytes, closing any open reuse records (`bytes_written` is the
+    /// caller's).
+    pub(crate) fn write<R: ReuseSlot>(
+        &mut self,
+        cells: &mut [ShadowObject<R>],
+        weight: u64,
+        writer: Owner,
+    ) {
+        for obj in cells {
             if let Some(info) = obj.reuse().info() {
                 if let Some(reader) = obj.last_reader() {
-                    self.close_reuse(reader, info);
+                    self.close_reuse(reader, info, weight);
                 }
             }
             obj.record_write(writer);
@@ -272,11 +227,11 @@ impl Tally {
     /// run; a tally over slots without one has nothing to close. A shard
     /// owns exactly its chunks, so the union of the shards' flushes is
     /// the serial table's.
-    pub(crate) fn flush_live_reuse<R: ReuseSlot>(&mut self, table: &ShadowTable<ShadowObject<R>>) {
+    pub(crate) fn flush_live_reuse<R: ReuseSlot>(&mut self, table: &GranuleTable<R>) {
         if let Some(reuse) = self.reuse.as_mut() {
-            for (_, obj) in table.iter() {
+            for (obj, weight) in table.cells() {
                 if let (Some(reader), Some(info)) = (obj.last_reader(), obj.reuse().info()) {
-                    record_reuse(reuse, reader, info);
+                    record_reuse(reuse, reader, info, weight);
                 }
             }
         }
@@ -307,5 +262,122 @@ impl Tally {
             phases,
             memory,
         }
+    }
+}
+
+/// One read access being classified; see [`Tally::read`]. It keeps the
+/// consumer's class counts, the open producer segment and the producer
+/// function memo across all the access's cells, and flushes them once.
+pub(crate) struct Read<'a, F> {
+    tally: &'a mut Tally,
+    out: &'a mut Transfers,
+    reader: Reader,
+    producer_fn: F,
+    local: ByteCounts,
+    input: ByteCounts,
+    inter: ByteCounts,
+    /// The open producer segment: flushed whenever the last-writer
+    /// context changes, and at the end.
+    seg: Option<(ContextId, ByteCounts)>,
+    /// Consecutive bytes overwhelmingly share one last writer.
+    producer_fn_memo: Option<(ContextId, Option<FunctionId>)>,
+}
+
+impl<F: Fn(ContextId) -> Option<FunctionId>> Read<'_, F> {
+    /// Classifies `cells`, each covering `weight` bytes, and advances
+    /// their shadow state.
+    pub(crate) fn cells<R: ReuseSlot>(&mut self, cells: &mut [ShadowObject<R>], weight: u64) {
+        let Reader { owner, func, at } = self.reader;
+        let consumer = ContextId(owner.ctx());
+        for obj in cells {
+            let repeat = obj.is_repeat_read(owner);
+            let producer = obj.last_writer();
+
+            // Reuse accounting: a change of reader flushes the previous
+            // reader's record (lifetimes are per function call).
+            if let Some(info) = obj.reuse().info() {
+                if !repeat {
+                    if let Some(prev_reader) = obj.last_reader() {
+                        self.tally.close_reuse(prev_reader, info, weight);
+                        *obj.reuse_mut() = R::default();
+                    }
+                }
+                obj.reuse_mut().record_read(at, !repeat);
+            }
+            obj.record_read(owner);
+
+            // Never-written bytes are program input, attributed to the
+            // synthetic root producer.
+            let (producer_ctx, producer_call) = match producer {
+                Some(p) => (ContextId(p.ctx()), p.call()),
+                None => (ContextId::ROOT, CallNumber::ROOT),
+            };
+            let producer_func = match self.producer_fn_memo {
+                Some((memo_ctx, f)) if memo_ctx == producer_ctx => f,
+                _ => {
+                    let f = (self.producer_fn)(producer_ctx);
+                    self.producer_fn_memo = Some((producer_ctx, f));
+                    f
+                }
+            };
+            // A last writer on another guest thread makes the byte
+            // inter-thread input — disjoint from (and checked before)
+            // the local class, so a thread re-reading data a sibling
+            // wrote into "its own" function is still charged with the
+            // cross-thread transfer.
+            let is_inter = producer.is_some_and(|p| p.thread() != owner.thread());
+            let is_local = !is_inter && producer.is_some() && producer_func == func;
+            if is_inter {
+                self.inter.add(repeat, weight);
+            } else if is_local {
+                self.local.add(repeat, weight);
+            } else {
+                self.input.add(repeat, weight);
+            }
+            if !is_local {
+                match &mut self.seg {
+                    Some((seg_ctx, counts)) if *seg_ctx == producer_ctx => {
+                        counts.add(repeat, weight);
+                    }
+                    _ => {
+                        let mut counts = ByteCounts::default();
+                        counts.add(repeat, weight);
+                        if let Some((prev, prev_counts)) = self.seg.replace((producer_ctx, counts))
+                        {
+                            self.tally.flush_producer(prev, consumer, prev_counts);
+                        }
+                    }
+                }
+            }
+            // Event-file dependencies: any unique read of data produced
+            // by a *different dynamic call* orders the consumer after
+            // the producer — including a later call of the same function
+            // (classified *local* above, but still a real dependency
+            // between the two call nodes of the Figure 3 construction).
+            if !repeat && producer.is_some() && producer_call != owner.call() {
+                if self.out.events_on {
+                    push_bytes(&mut self.out.calls, producer_call, weight);
+                }
+                if self.out.phases_on {
+                    push_bytes(&mut self.out.ctxs, producer_ctx, weight);
+                }
+            }
+        }
+    }
+
+    /// Flushes the access's last producer segment and its consumer
+    /// class counts.
+    pub(crate) fn finish(self) {
+        let consumer = ContextId(self.reader.owner.ctx());
+        if let Some((prev, prev_counts)) = self.seg {
+            self.tally.flush_producer(prev, consumer, prev_counts);
+        }
+        let stats = self.tally.comm_mut(consumer);
+        stats.local_unique_bytes += self.local.unique;
+        stats.local_nonunique_bytes += self.local.nonunique;
+        stats.input_unique_bytes += self.input.unique;
+        stats.input_nonunique_bytes += self.input.nonunique;
+        stats.inter_thread_unique_bytes += self.inter.unique;
+        stats.inter_thread_nonunique_bytes += self.inter.nonunique;
     }
 }

@@ -73,7 +73,7 @@ use std::io::{self, Read, Write};
 
 use sigil_trace::{
     CallNumber, ExecutionObserver, FunctionId, MemAccess, OpClass, RuntimeEvent, SymbolTable,
-    ThreadId,
+    ThreadId, TraceError,
 };
 
 use crate::events_out::{EventFile, EventRecord};
@@ -642,10 +642,10 @@ impl ChunkRecord for TraceRecord {
             },
             2 => RuntimeEvent::Return,
             3 => RuntimeEvent::Read {
-                access: MemAccess::new(cursor.u64()?, cursor.u32()?),
+                access: decode_access(cursor, at)?,
             },
             4 => RuntimeEvent::Write {
-                access: MemAccess::new(cursor.u64()?, cursor.u32()?),
+                access: decode_access(cursor, at)?,
             },
             5 => {
                 let code = cursor.byte()?;
@@ -672,6 +672,20 @@ impl ChunkRecord for TraceRecord {
         };
         Ok(TraceRecord::Event(event))
     }
+}
+
+/// Decodes a Read or Write record's access, which must end inside the
+/// 64-bit address space; `at` locates the record.
+fn decode_access(cursor: &mut Cursor<'_>, at: u64) -> Result<MemAccess, BinError> {
+    let access = MemAccess::new(cursor.u64()?, cursor.u32()?);
+    if access.checked_end().is_none() {
+        let error = TraceError::AccessPastAddressSpace {
+            addr: access.addr,
+            size: access.size,
+        };
+        return Err(cursor.error(at, error.to_string()));
+    }
+    Ok(access)
 }
 
 // ---------------------------------------------------------------------------
@@ -1551,6 +1565,45 @@ mod tests {
         let decoded: Vec<TraceRecord> =
             decode_chunk_payload(golden, records.len() as u32, 0).expect("decodes");
         assert_eq!(decoded, records);
+    }
+
+    #[test]
+    fn access_past_the_address_space_is_a_located_error() {
+        let call = TraceRecord::Event(RuntimeEvent::Call {
+            callee: FunctionId::from_raw(0),
+        });
+        let top = MemAccess::new(u64::MAX - 3, 8);
+        for bad in [
+            RuntimeEvent::Read { access: top },
+            RuntimeEvent::Write { access: top },
+        ] {
+            let records = [
+                trace_sample()[0].clone(),
+                call.clone(),
+                TraceRecord::Event(bad),
+            ];
+            let payload = encode_chunk_payload(&records);
+            // Sym (13 bytes) and Call (5) precede the bad record.
+            let err = decode_chunk_payload::<TraceRecord>(&payload, 3, 100).expect_err("rejected");
+            let BinError::Format {
+                offset, message, ..
+            } = err
+            else {
+                panic!("expected a format error, got {err:?}");
+            };
+            assert_eq!(offset, 100 + 18, "{message}");
+            assert!(
+                message.contains("past the end of the 64-bit address space"),
+                "{message}"
+            );
+        }
+        // An access whose end still fits in 64 bits decodes.
+        let last = TraceRecord::Event(RuntimeEvent::Read {
+            access: MemAccess::new(u64::MAX - 8, 8),
+        });
+        let payload = encode_chunk_payload(std::slice::from_ref(&last));
+        let decoded: Vec<TraceRecord> = decode_chunk_payload(&payload, 1, 0).expect("in range");
+        assert_eq!(decoded, [last]);
     }
 
     #[test]

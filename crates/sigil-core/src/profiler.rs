@@ -4,9 +4,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 use sigil_callgrind::{CallTree, CallgrindProfiler, ContextId};
-use sigil_mem::{
-    EvictionPolicy, LineShadow, MemoryStats, Owner, ReuseInfo, ReuseSlot, ShadowObject, ShadowTable,
-};
+use sigil_mem::{GranuleTable, LineShadow, MemoryStats, Owner, ReuseInfo, ReuseSlot};
 use sigil_trace::{
     CallNumber, ExecutionObserver, MemAccess, OpClock, RuntimeEvent, SymbolTable, Timestamp,
 };
@@ -55,32 +53,29 @@ impl LineReport {
     }
 }
 
-/// The serial shadow table, its slot chosen by `reuse_mode`: only reuse
+/// The serial granule table, its slot chosen by `reuse_mode`: only reuse
 /// mode pays for the reuse fields.
 #[derive(Debug)]
 enum Shadow {
-    Plain(ShadowTable<ShadowObject>),
-    Reuse(ShadowTable<ShadowObject<ReuseInfo>>),
+    Plain(GranuleTable),
+    Reuse(GranuleTable<ReuseInfo>),
 }
 
 impl Shadow {
     fn new(config: &SigilConfig) -> Self {
-        fn table<T: Default + Clone>(
-            limit: Option<usize>,
-            policy: EvictionPolicy,
-        ) -> ShadowTable<T> {
-            match limit {
-                Some(limit) => ShadowTable::with_chunk_limit(limit, policy),
-                None => ShadowTable::new(),
+        fn table<R: ReuseSlot>(config: &SigilConfig) -> GranuleTable<R> {
+            // In sharded mode the shadow state lives in the worker tables
+            // and the dispatch-side residency oracle; this table stays
+            // empty.
+            match config.shadow_chunk_limit.filter(|_| config.shards <= 1) {
+                Some(limit) => GranuleTable::with_chunk_limit(limit, config.eviction),
+                None => GranuleTable::new(),
             }
         }
-        // In sharded mode the per-byte state lives in the worker tables
-        // and the dispatch-side residency oracle; this table stays empty.
-        let limit = config.shadow_chunk_limit.filter(|_| config.shards <= 1);
         if config.reuse_mode {
-            Shadow::Reuse(table(limit, config.eviction))
+            Shadow::Reuse(table(config))
         } else {
-            Shadow::Plain(table(limit, config.eviction))
+            Shadow::Plain(table(config))
         }
     }
 
@@ -102,7 +97,8 @@ impl Shadow {
 
 /// The Sigil profiler: an [`ExecutionObserver`] that shadows every data
 /// byte to classify communication (see the crate docs for the
-/// methodology).
+/// methodology). Bytes are shadowed per aligned 4-byte granule wherever
+/// accesses keep a granule's bytes alike ([`GranuleTable`]).
 ///
 /// Internally it embeds a [`CallgrindProfiler`] — Sigil "hooks into
 /// Callgrind to identify function names, obtain addresses and count
@@ -115,9 +111,13 @@ pub struct SigilProfiler {
     lines: Option<LineShadow>,
     clock: OpClock,
     call_counter: CallNumber,
-    /// Per-thread frame stacks; key is the raw thread id.
-    thread_frames: HashMap<u32, Vec<Frame>>,
+    /// The current guest thread's frame stack. Every event but a thread
+    /// switch works on it, so it stays out of `parked`.
+    frames: Vec<Frame>,
     current_thread: u32,
+    /// The other threads' frame stacks, parked by raw thread id on a
+    /// thread switch.
+    parked: HashMap<u32, Vec<Frame>>,
     /// Table-I tallies. In sharded mode only the whole-access byte
     /// counts land here; classification comes back from the workers.
     tally: Tally,
@@ -149,8 +149,9 @@ impl SigilProfiler {
             lines: config.line_size.map(LineShadow::new),
             clock: OpClock::new(),
             call_counter: CallNumber::ROOT,
-            thread_frames: HashMap::from([(0, Vec::with_capacity(64))]),
+            frames: Vec::with_capacity(64),
             current_thread: 0,
+            parked: HashMap::new(),
             transfers: Transfers::new(config.record_events, config.phase_bucket_ops.is_some()),
             // Sharded event files are sequenced from the dispatch log at
             // the end of the run instead of being built incrementally.
@@ -201,29 +202,31 @@ impl SigilProfiler {
         self.phases.as_ref().map(|b| b.clone().finish())
     }
 
-    fn frames(&self) -> Option<&Vec<Frame>> {
-        self.thread_frames.get(&self.current_thread)
-    }
-
-    fn frames_mut(&mut self) -> &mut Vec<Frame> {
-        self.thread_frames.entry(self.current_thread).or_default()
+    /// Makes `thread` current: parks the outgoing thread's stack and
+    /// takes up the incoming one's.
+    fn switch_to(&mut self, thread: u32) {
+        if thread == self.current_thread {
+            return;
+        }
+        let incoming = self.parked.remove(&thread).unwrap_or_default();
+        let outgoing = std::mem::replace(&mut self.frames, incoming);
+        self.parked.insert(self.current_thread, outgoing);
+        self.current_thread = thread;
     }
 
     fn current_frame(&self) -> Frame {
-        self.frames()
-            .and_then(|f| f.last().copied())
-            .unwrap_or(Frame {
-                ctx: ContextId::ROOT,
-                call: CallNumber::ROOT,
-                pending_ops: 0,
-            })
+        self.frames.last().copied().unwrap_or(Frame {
+            ctx: ContextId::ROOT,
+            call: CallNumber::ROOT,
+            pending_ops: 0,
+        })
     }
 
     fn flush_pending(&mut self) {
         if self.events.is_none() {
             return;
         }
-        if let Some(frame) = self.frames_mut().last_mut() {
+        if let Some(frame) = self.frames.last_mut() {
             let ops = frame.pending_ops;
             frame.pending_ops = 0;
             let (call, ctx) = (frame.call, frame.ctx);
@@ -254,7 +257,7 @@ impl SigilProfiler {
         // The Call record itself retires one op and is always visible in
         // the event stream, so it always ticks the phase clock.
         self.phase_clock += 1;
-        self.frames_mut().push(Frame {
+        self.frames.push(Frame {
             ctx,
             call,
             pending_ops: 0,
@@ -266,7 +269,7 @@ impl SigilProfiler {
     /// exactly like the event sequencer, so the phase clock stays
     /// reconstructible from the event stream.
     fn retire_pending(&mut self, count: u64) {
-        let Some(f) = self.frames_mut().last_mut() else {
+        let Some(f) = self.frames.last_mut() else {
             return;
         };
         f.pending_ops += count;
@@ -286,13 +289,13 @@ impl SigilProfiler {
         if let Some(engine) = self.engine.as_mut() {
             engine.log_return();
         }
-        self.frames_mut().pop();
+        self.frames.pop();
     }
 
     /// A shadow access. Whole-access work — line shadowing, `bytes_read`
     /// / `bytes_written`, the access's own retired op — happens here;
-    /// the per-byte Table-I pass runs inline on the shadow table, or on
-    /// the shard workers per chunk run.
+    /// the Table-I pass runs inline on the granule table, or on the shard
+    /// workers per chunk run.
     fn handle_access(&mut self, write: bool, access: MemAccess, at: Timestamp) {
         if access.is_empty() {
             return;
@@ -523,11 +526,11 @@ impl SigilProfiler {
     }
 }
 
-/// The per-byte Table-I pass of one serial access: a write makes
-/// `reader.owner` the producer of every byte, a read classifies them and
-/// leaves its transfer segments in `transfers`.
+/// The Table-I pass of one serial access: a write makes `reader.owner`
+/// the producer of every byte, a read classifies them and leaves its
+/// transfer segments in `transfers`.
 fn classify<R: ReuseSlot>(
-    table: &mut ShadowTable<ShadowObject<R>>,
+    table: &mut GranuleTable<R>,
     tally: &mut Tally,
     transfers: &mut Transfers,
     tree: &CallTree,
@@ -535,17 +538,18 @@ fn classify<R: ReuseSlot>(
     access: MemAccess,
     reader: Reader,
 ) {
-    let mut runs = table.runs_mut(access.addr, access.len());
     if write {
-        while let Some((_, slots)) = runs.next_run() {
-            tally.write(slots, reader.owner);
-        }
+        table.cells_mut(access.addr, access.len(), |cells, weight| {
+            tally.write(cells, weight, reader.owner);
+        });
         return;
     }
     transfers.clear();
-    while let Some((_, slots)) = runs.next_run() {
-        tally.read(slots, reader, |ctx| tree.node(ctx).func, transfers);
-    }
+    let mut read = tally.read(reader, |ctx| tree.node(ctx).func, transfers);
+    table.cells_mut(access.addr, access.len(), |cells, weight| {
+        read.cells(cells, weight);
+    });
+    read.finish();
 }
 
 impl ExecutionObserver for SigilProfiler {
@@ -566,7 +570,7 @@ impl ExecutionObserver for SigilProfiler {
                 if let Some(engine) = self.engine.as_mut() {
                     engine.log_switch(thread.as_raw());
                 }
-                self.current_thread = thread.as_raw();
+                self.switch_to(thread.as_raw());
             }
         }
     }
@@ -574,18 +578,19 @@ impl ExecutionObserver for SigilProfiler {
     fn on_finish(&mut self) {
         // Sorted so the drain order (and therefore the event file) is
         // deterministic regardless of HashMap iteration order.
-        let mut threads: Vec<u32> = self.thread_frames.keys().copied().collect();
+        let mut threads: Vec<u32> = self.parked.keys().copied().collect();
+        threads.push(self.current_thread);
         threads.sort_unstable();
         for thread in threads {
-            self.current_thread = thread;
+            self.switch_to(thread);
             if let Some(engine) = self.engine.as_mut() {
                 engine.log_resume(thread);
             }
-            while !self.frames_mut().is_empty() {
+            while !self.frames.is_empty() {
                 self.handle_leave();
             }
         }
-        self.current_thread = 0;
+        self.switch_to(0);
     }
 }
 

@@ -136,18 +136,19 @@ impl ContextReuse {
         }
     }
 
-    /// Folds in one flushed (byte, call) record.
-    pub fn record(&mut self, reuse_count: u64, lifetime: u64) {
+    /// Folds in `bytes` flushed (byte, call) records that share one
+    /// reuse count and lifetime.
+    pub fn record(&mut self, reuse_count: u64, lifetime: u64, bytes: u64) {
         match ReuseBucket::of(reuse_count) {
-            ReuseBucket::Zero => self.zero_reuse_bytes += 1,
-            ReuseBucket::OneToNine => self.low_reuse_bytes += 1,
-            ReuseBucket::MoreThanNine => self.high_reuse_bytes += 1,
+            ReuseBucket::Zero => self.zero_reuse_bytes += bytes,
+            ReuseBucket::OneToNine => self.low_reuse_bytes += bytes,
+            ReuseBucket::MoreThanNine => self.high_reuse_bytes += bytes,
         }
-        self.total_reuse_count += reuse_count;
+        self.total_reuse_count += reuse_count * bytes;
         if reuse_count >= 1 {
-            self.reused_bytes += 1;
-            self.reused_lifetime_sum += lifetime;
-            self.histogram.record(lifetime, 1);
+            self.reused_bytes += bytes;
+            self.reused_lifetime_sum += lifetime * bytes;
+            self.histogram.record(lifetime, bytes);
         }
     }
 
@@ -215,9 +216,9 @@ mod tests {
     #[test]
     fn context_reuse_aggregates_records() {
         let mut r = ContextReuse::new(ContextId(1));
-        r.record(0, 0); // single read
-        r.record(3, 500); // reused
-        r.record(20, 12_000); // heavily reused
+        r.record(0, 0, 1); // single read
+        r.record(3, 500, 1); // reused
+        r.record(20, 12_000, 1); // heavily reused
         assert_eq!(r.zero_reuse_bytes, 1);
         assert_eq!(r.low_reuse_bytes, 1);
         assert_eq!(r.high_reuse_bytes, 1);
@@ -230,11 +231,11 @@ mod tests {
     #[test]
     fn merge_is_commutative() {
         let mut a = ContextReuse::new(ContextId(2));
-        a.record(0, 0);
-        a.record(5, 1500);
+        a.record(0, 0, 1);
+        a.record(5, 1500, 1);
         let mut b = ContextReuse::new(ContextId(2));
-        b.record(12, 700);
-        b.record(1, 1600);
+        b.record(12, 700, 1);
+        b.record(1, 1600, 1);
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();

@@ -65,8 +65,7 @@ use std::time::Instant;
 
 use sigil_callgrind::{CallTree, ContextId};
 use sigil_mem::{
-    chunk_key, chunk_run, MemoryStats, Owner, ReuseInfo, ReuseSlot, ShadowObject, ShadowTable,
-    CHUNK_SLOTS,
+    chunk_key, chunk_run, GranuleTable, MemoryStats, Owner, ReuseInfo, ReuseSlot, ShadowTable,
 };
 use sigil_trace::{Addr, CallNumber, FunctionId, Timestamp};
 
@@ -430,8 +429,9 @@ pub(crate) struct ShardEngine {
     oracle: Option<ShadowTable<()>>,
     /// Counter mirror for the elided-oracle path.
     route: RouteStats,
-    /// Size of the workers' shadow slot, at which residency is priced.
-    slot_bytes: u64,
+    /// Prices resident chunks and split granules as the workers' granule
+    /// tables hold them ([`GranuleTable::price`] for the active slot).
+    price: PriceFn,
     senders: Vec<SyncSender<Vec<ShardMsg>>>,
     batches: Vec<Vec<ShardMsg>>,
     /// Whether the last message staged to this shard is an `Access`
@@ -455,10 +455,12 @@ pub(crate) struct ShardEngine {
     /// Accesses dispatched since the last epoch flush.
     epoch_accesses: u64,
     dispatch: DispatchStats,
-    /// Per-worker resident-chunk counts (elided mode), refreshed by each
-    /// worker after every batch — mid-run residency reads lag in-flight
-    /// batches; the post-join stats are exact.
+    /// Per-worker resident-chunk counts (elided mode) and split-granule
+    /// counts (both modes), refreshed by each worker after every batch —
+    /// mid-run residency reads lag in-flight batches; the post-join
+    /// stats are exact.
     resident_chunks: Vec<Arc<AtomicU64>>,
+    split_granules: Vec<Arc<AtomicU64>>,
     /// Telemetry (obs-enabled runs only): batches sent per shard, and
     /// the workers' shared drain counters — their difference is the
     /// channel depth sampled into the timeseries at each flush.
@@ -504,7 +506,8 @@ impl ShardEngine {
         let mut handles = Vec::with_capacity(shards);
         let mut received_batches = Vec::with_capacity(shards);
         let mut resident_chunks = Vec::with_capacity(shards);
-        let (worker, slot_bytes) = if config.reuse_mode {
+        let mut split_granules = Vec::with_capacity(shards);
+        let (worker, price) = if config.reuse_mode {
             slot_worker::<ReuseInfo>()
         } else {
             slot_worker::<()>()
@@ -518,12 +521,15 @@ impl ShardEngine {
             received_batches.push(Arc::clone(&received));
             let resident = Arc::new(AtomicU64::new(0));
             resident_chunks.push(Arc::clone(&resident));
+            let splits = Arc::new(AtomicU64::new(0));
+            split_granules.push(Arc::clone(&splits));
             let spec = WorkerSpec {
                 shard,
                 events_on,
                 phase_bucket_ops,
                 batches_received: received,
                 resident_chunks: resident,
+                split_granules: splits,
             };
             handles.push(Some(
                 std::thread::Builder::new()
@@ -536,7 +542,7 @@ impl ShardEngine {
             shards,
             oracle,
             route: RouteStats::default(),
-            slot_bytes,
+            price,
             senders,
             batches: (0..shards).map(|_| Vec::with_capacity(BATCH)).collect(),
             staging_open: vec![false; shards],
@@ -551,6 +557,7 @@ impl ShardEngine {
             epoch_accesses: 0,
             dispatch: DispatchStats::default(),
             resident_chunks,
+            split_granules,
             obs_on: sigil_obs::is_enabled(),
             sent_batches: vec![0; shards],
             received_batches,
@@ -854,36 +861,32 @@ impl ShardEngine {
 
     /// The serial-equivalent shadow counters.
     ///
-    /// With a dispatch oracle these come straight from it (whose `T =
-    /// ()` stores no bytes — residency is re-priced at the slot size of
-    /// the active mode, the serial table's) and are exact at any time.
-    /// With the oracle elided the access counters ([`RouteStats`]) are
-    /// exact, and the residency comes from the workers' per-batch
+    /// With a dispatch oracle the chunk and access counters come straight
+    /// from it and are exact at any time. With the oracle elided the
+    /// access counters ([`RouteStats`]) are exact, and the resident
+    /// chunks are the workers'. Either way the footprint is priced as the
+    /// serial granule table holds it, from the resident chunks and the
+    /// workers' split-granule counts. Worker counts are per-batch
     /// snapshots — lagging in-flight batches mid-run, exact once
     /// [`ShardEngine::finish`] has joined the workers (each stores its
-    /// final count after its last batch).
+    /// final counts after its last batch).
     pub(crate) fn memory_stats(&self) -> MemoryStats {
-        if let Some(oracle) = &self.oracle {
-            let mut stats = oracle.stats();
-            stats.resident_bytes = stats.resident_slots * self.slot_bytes;
-            return stats;
-        }
-        let resident_chunks: u64 = self
-            .resident_chunks
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum();
-        MemoryStats {
-            resident_chunks,
-            resident_slots: resident_chunks * CHUNK_SLOTS as u64,
-            resident_bytes: resident_chunks * CHUNK_SLOTS as u64 * self.slot_bytes,
-            evicted_chunks: 0,
-            accesses: self.route.accesses,
-            mru_hits: self.route.mru_hits,
-            table_probes: self.route.accesses - self.route.mru_hits,
-            runs: self.route.runs,
-            run_bytes: self.route.run_bytes,
-        }
+        let sum = |counts: &[Arc<AtomicU64>]| -> u64 {
+            counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+        };
+        let chunks = match &self.oracle {
+            Some(oracle) => oracle.stats(),
+            None => MemoryStats {
+                resident_chunks: sum(&self.resident_chunks),
+                accesses: self.route.accesses,
+                mru_hits: self.route.mru_hits,
+                table_probes: self.route.accesses - self.route.mru_hits,
+                runs: self.route.runs,
+                run_bytes: self.route.run_bytes,
+                ..MemoryStats::default()
+            },
+        };
+        (self.price)(chunks, sum(&self.split_granules))
     }
 
     /// Flushes outstanding batches, closes the channels, joins the
@@ -934,11 +937,14 @@ struct WorkerSpec {
     /// Resident-chunk count of this worker's table, refreshed after
     /// every batch for the dispatcher's elided-mode residency reads.
     resident_chunks: Arc<AtomicU64>,
+    /// Split-granule count of this worker's table, refreshed after every
+    /// batch for the dispatcher's footprint pricing.
+    split_granules: Arc<AtomicU64>,
 }
 
 /// Per-worker replay state; `R` is the shadow slot's reuse part.
 struct WorkerState<R> {
-    table: ShadowTable<ShadowObject<R>>,
+    table: GranuleTable<R>,
     tally: Tally,
     /// Context → function map, filled by `CtxDefs` broadcasts.
     ctx_funcs: Vec<Option<FunctionId>>,
@@ -952,19 +958,19 @@ struct WorkerState<R> {
 /// A shard worker's entry point.
 type WorkerFn = fn(WorkerSpec, Receiver<Vec<ShardMsg>>) -> ShardResult;
 
-/// The shard worker for slot reuse part `R`, with the size of the slot it
-/// shadows each guest byte with.
-fn slot_worker<R: ReuseSlot>() -> (WorkerFn, u64) {
-    (
-        shard_worker::<R>,
-        std::mem::size_of::<ShadowObject<R>>() as u64,
-    )
+/// Prices resident chunks and split granules ([`GranuleTable::price`]).
+type PriceFn = fn(MemoryStats, u64) -> MemoryStats;
+
+/// The shard worker for slot reuse part `R`, with the pricing of the
+/// granule table it shadows guest bytes with.
+fn slot_worker<R: ReuseSlot>() -> (WorkerFn, PriceFn) {
+    (shard_worker::<R>, GranuleTable::<R>::price)
 }
 
 fn shard_worker<R: ReuseSlot>(spec: WorkerSpec, rx: Receiver<Vec<ShardMsg>>) -> ShardResult {
     let _span = sigil_obs::span_with(|| format!("shard-worker-{}", spec.shard));
     let mut state = WorkerState::<R> {
-        table: ShadowTable::new(),
+        table: GranuleTable::new(),
         tally: Tally::for_slot::<R>(),
         ctx_funcs: Vec::new(),
         scratch: Transfers::new(spec.events_on, spec.phase_bucket_ops.is_some()),
@@ -993,6 +999,8 @@ fn shard_worker<R: ReuseSlot>(spec: WorkerSpec, rx: Receiver<Vec<ShardMsg>>) -> 
         }
         spec.resident_chunks
             .store(state.table.chunk_count() as u64, Ordering::Relaxed);
+        spec.split_granules
+            .store(state.table.split_granules(), Ordering::Relaxed);
         busy_ns += u64::try_from(work.elapsed().as_nanos()).unwrap_or(u64::MAX);
     }
     state.tally.flush_live_reuse(&state.table);
@@ -1022,10 +1030,13 @@ fn apply_access<R: ReuseSlot>(state: &mut WorkerState<R>, rec: AccessRecord) {
         ..
     } = state;
     let owner = Owner::new(rec.ctx.0, rec.call, rec.thread);
-    let (slots, consumed) = table.run_mut(rec.addr, rec.len as usize);
-    debug_assert_eq!(consumed, rec.len as usize, "records never straddle chunks");
+    let len = rec.len as usize;
+    let mut run = table
+        .run_mut(rec.addr, len)
+        .expect("records are never empty");
+    debug_assert_eq!(run.len(), len, "records never straddle chunks");
     if rec.write {
-        tally.write(slots, owner);
+        run.cells_mut(0, len, |cells, weight| tally.write(cells, weight, owner));
         return;
     }
     // Strided trains carry `count` whole accesses of `sub_len` bytes
@@ -1035,16 +1046,20 @@ fn apply_access<R: ReuseSlot>(state: &mut WorkerState<R>, rec: AccessRecord) {
     let sub_len = if rec.count > 1 && rec.sub_len > 0 {
         rec.sub_len as usize
     } else {
-        rec.len as usize
+        len
     };
-    for (k, sub_slots) in (0u64..).zip(slots.chunks_mut(sub_len)) {
+    for (k, start) in (0u64..).zip((0..len).step_by(sub_len)) {
         let reader = Reader {
             owner,
             func: rec.reader_fn,
             at: rec.at.advance(k),
         };
         scratch.clear();
-        tally.read(sub_slots, reader, |ctx| ctx_funcs[ctx.index()], scratch);
+        let mut read = tally.read(reader, |ctx| ctx_funcs[ctx.index()], scratch);
+        run.cells_mut(start, sub_len.min(len - start), |cells, weight| {
+            read.cells(cells, weight);
+        });
+        read.finish();
         if !scratch.calls.is_empty() {
             transfers
                 .entry(rec.idx + k)

@@ -72,7 +72,7 @@ fn arb_reuse() -> impl Strategy<Value = Option<Vec<ContextReuse>>> {
                     .map(|(i, hits)| {
                         let mut row = ContextReuse::new(ContextId(u32::try_from(i).unwrap()));
                         for (count, lifetime) in hits {
-                            row.record(count, lifetime);
+                            row.record(count, lifetime, 1);
                         }
                         row
                     })

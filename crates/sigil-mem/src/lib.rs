@@ -17,19 +17,25 @@
 //! * a **cache-line granularity** mode shadows "every line in memory
 //!   rather than every byte" (§IV-B3).
 //!
-//! [`ShadowTable`] is the generic two-level table; [`ShadowObject`] is the
-//! concrete per-byte record from the paper's Table I: the 32-byte baseline
-//! fields, plus the reuse-mode extension [`ReuseInfo`] only in
-//! `ShadowObject<ReuseInfo>`.
+//! [`ShadowObject`] is the record from the paper's Table I: the 32-byte
+//! baseline fields, plus the reuse-mode extension [`ReuseInfo`] only in
+//! `ShadowObject<ReuseInfo>`. [`GranuleTable`] is the table the profiler
+//! classifies on: one object per aligned 4-byte granule, with per-byte
+//! objects only where an access splits a granule. [`ShadowTable`] is the
+//! generic per-slot two-level table (line shadow, residency oracles).
+//! Both share one chunk-residency implementation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod granule;
 pub mod line;
 pub mod object;
+mod residency;
 pub mod stats;
 pub mod table;
 
+pub use granule::{GranuleRun, GranuleTable, CHUNK_GRANULES, GRANULE_BYTES};
 pub use line::{LineShadow, LineStats};
 pub use object::{Owner, ReuseInfo, ReuseSlot, ShadowObject};
 pub use stats::MemoryStats;

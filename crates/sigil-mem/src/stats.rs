@@ -13,11 +13,17 @@ use serde::{Deserialize, Serialize};
 /// cache (`mru_hits`) or by a first-level hash probe (`table_probes`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MemoryStats {
-    /// Second-level chunks currently resident.
+    /// Second-level chunks currently resident (4 KiB of guest memory
+    /// each).
     pub resident_chunks: u64,
-    /// Shadow slots currently resident (chunks × slots per chunk).
+    /// Shadow slots currently resident. For the profiler's
+    /// [`crate::GranuleTable`]: one object per granule of every resident
+    /// chunk plus four per split granule. For a [`crate::ShadowTable`]:
+    /// chunks × slots per chunk.
     pub resident_slots: u64,
-    /// Approximate resident bytes (slots × slot size).
+    /// Bytes held for resident chunks. For a [`crate::GranuleTable`]:
+    /// the granule objects, the split markers and the split granules'
+    /// byte slots. For a [`crate::ShadowTable`]: slots × slot size.
     pub resident_bytes: u64,
     /// Chunks evicted by the FIFO/LRU limiter so far.
     pub evicted_chunks: u64,

@@ -1,20 +1,15 @@
 //! The generic two-level shadow table.
 
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use sigil_trace::Addr;
 
+use crate::residency::{split, Payload, Residency, CHUNK_BITS, CHUNK_BYTES};
 use crate::stats::MemoryStats;
 
-/// Log2 of the number of shadow slots per second-level chunk.
-const CHUNK_BITS: u32 = 12;
-/// Number of shadow slots per second-level chunk (4096).
-pub const CHUNK_SLOTS: usize = 1 << CHUNK_BITS;
-const OFFSET_MASK: u64 = (CHUNK_SLOTS as u64) - 1;
-
-/// Sentinel slab index meaning "no chunk".
-const NIL: usize = usize::MAX;
+/// Number of shadow slots per second-level chunk of a [`ShadowTable`]
+/// (4096): one per guest byte of a 4 KiB chunk.
+pub const CHUNK_SLOTS: usize = CHUNK_BYTES;
 
 /// The first-level key of the chunk covering `addr` — the high address
 /// bits above the [`CHUNK_SLOTS`] split.
@@ -39,8 +34,8 @@ pub fn chunk_key(addr: Addr) -> u64 {
 /// `consumed`.
 #[inline]
 pub fn chunk_run(addr: Addr, len: usize) -> (u64, usize) {
-    let off = (addr & OFFSET_MASK) as usize;
-    (addr >> CHUNK_BITS, len.min(CHUNK_SLOTS - off))
+    let (key, off) = split(addr);
+    (key, len.min(CHUNK_SLOTS - off))
 }
 
 /// Which chunk to evict when the memory limit is exceeded.
@@ -58,14 +53,15 @@ pub enum EvictionPolicy {
     Lru,
 }
 
-#[derive(Debug)]
-struct Chunk<T> {
-    key: u64,
-    slots: Box<[T]>,
-    /// Recency list neighbour toward the least-recently-touched end.
-    lru_prev: usize,
-    /// Recency list neighbour toward the most-recently-touched end.
-    lru_next: usize,
+/// One dense slot per guest byte of the chunk.
+impl<T: Default + Clone> Payload for Box<[T]> {
+    fn fresh() -> Self {
+        vec![T::default(); CHUNK_SLOTS].into_boxed_slice()
+    }
+
+    fn reset(&mut self) {
+        self.fill(T::default());
+    }
 }
 
 /// A sparse, lazily-populated map from guest byte addresses to shadow
@@ -89,6 +85,10 @@ struct Chunk<T> {
 /// recycled through a free list so a limited table stops allocating once
 /// it reaches its limit.
 ///
+/// The residency machinery is shared with [`crate::GranuleTable`], which
+/// the profiler classifies on; this per-byte table serves the line
+/// shadow, the sharded residency oracle and per-byte reference walks.
+///
 /// # Example
 ///
 /// ```
@@ -100,51 +100,14 @@ struct Chunk<T> {
 /// assert_eq!(table.get(0xdead_beef), Some(&7));
 /// ```
 pub struct ShadowTable<T> {
-    slab: Vec<Chunk<T>>,
-    free: Vec<usize>,
-    index: HashMap<u64, usize>,
-    alloc_order: VecDeque<u64>,
-    chunk_limit: Option<usize>,
-    policy: EvictionPolicy,
-    /// Least-recently-touched resident chunk (eviction victim under LRU).
-    lru_head: usize,
-    /// Most-recently-touched resident chunk.
-    lru_tail: usize,
-    /// One-entry MRU cache: chunk key and slab index of the last touch.
-    mru_key: u64,
-    mru_slot: usize,
-    accesses: u64,
-    mru_hits: u64,
-    evicted_chunks: u64,
-    runs: u64,
-    run_bytes: u64,
-    /// When enabled, every eviction appends its chunk key here in victim
-    /// order so an external table can mirror the residency decisions.
-    log_evictions: bool,
-    eviction_log: Vec<u64>,
+    core: Residency<Box<[T]>>,
 }
 
 impl<T: Default + Clone> ShadowTable<T> {
     /// Creates an unbounded shadow table.
     pub fn new() -> Self {
         ShadowTable {
-            slab: Vec::new(),
-            free: Vec::new(),
-            index: HashMap::new(),
-            alloc_order: VecDeque::new(),
-            chunk_limit: None,
-            policy: EvictionPolicy::Fifo,
-            lru_head: NIL,
-            lru_tail: NIL,
-            mru_key: 0,
-            mru_slot: NIL,
-            accesses: 0,
-            mru_hits: 0,
-            evicted_chunks: 0,
-            runs: 0,
-            run_bytes: 0,
-            log_evictions: false,
-            eviction_log: Vec::new(),
+            core: Residency::new(),
         }
     }
 
@@ -155,51 +118,25 @@ impl<T: Default + Clone> ShadowTable<T> {
     ///
     /// Panics if `max_chunks` is zero.
     pub fn with_chunk_limit(max_chunks: usize, policy: EvictionPolicy) -> Self {
-        assert!(max_chunks > 0, "chunk limit must be at least 1");
         ShadowTable {
-            chunk_limit: Some(max_chunks),
-            policy,
-            ..ShadowTable::new()
+            core: Residency::with_chunk_limit(max_chunks, policy),
         }
-    }
-
-    fn split(addr: Addr) -> (u64, usize) {
-        (addr >> CHUNK_BITS, (addr & OFFSET_MASK) as usize)
     }
 
     /// Returns the shadow slot for `addr` if its chunk is resident.
     pub fn get(&self, addr: Addr) -> Option<&T> {
-        let (key, off) = Self::split(addr);
-        if self.mru_slot != NIL && self.mru_key == key {
-            return Some(&self.slab[self.mru_slot].slots[off]);
-        }
-        self.index.get(&key).map(|&idx| &self.slab[idx].slots[off])
+        let (key, off) = split(addr);
+        self.core
+            .lookup(key)
+            .map(|idx| &self.core.payload(idx)[off])
     }
 
     /// Returns a mutable reference to the shadow slot for `addr`,
     /// allocating (and possibly evicting) as needed.
     #[inline]
     pub fn slot_mut(&mut self, addr: Addr) -> &mut T {
-        let (key, off) = Self::split(addr);
-        self.accesses += 1;
-        // Fast path: same chunk as the previous access. The MRU chunk is
-        // by construction the most recently touched, so it already sits
-        // at the recency-list tail and needs no bookkeeping.
-        if self.mru_slot != NIL && self.mru_key == key {
-            self.mru_hits += 1;
-            let idx = self.mru_slot;
-            return &mut self.slab[idx].slots[off];
-        }
-        let idx = match self.index.get(&key) {
-            Some(&idx) => {
-                self.touch(idx);
-                idx
-            }
-            None => self.insert_chunk(key),
-        };
-        self.mru_key = key;
-        self.mru_slot = idx;
-        &mut self.slab[idx].slots[off]
+        let (idx, off) = self.core.resolve_byte(addr);
+        &mut self.core.payload_mut(idx).0[off]
     }
 
     /// Returns the maximal run of consecutive shadow slots starting at
@@ -220,33 +157,13 @@ impl<T: Default + Clone> ShadowTable<T> {
     ///
     /// A `len` of zero returns an empty slice without touching the table.
     pub fn run_mut(&mut self, addr: Addr, len: usize) -> (&mut [T], usize) {
-        if len == 0 {
-            return (&mut [], 0);
+        match self.core.resolve_run(addr, len) {
+            Some(run) => (
+                &mut self.core.payload_mut(run.idx).0[run.off..run.off + run.len],
+                run.len,
+            ),
+            None => (&mut [], 0),
         }
-        let (key, off) = Self::split(addr);
-        let n = len.min(CHUNK_SLOTS - off);
-        self.accesses += n as u64;
-        self.runs += 1;
-        self.run_bytes += n as u64;
-        let idx = if self.mru_slot != NIL && self.mru_key == key {
-            self.mru_hits += n as u64;
-            self.mru_slot
-        } else {
-            // The first slot pays the table probe; the remaining n-1
-            // would have hit the MRU cache in a per-slot loop.
-            self.mru_hits += n as u64 - 1;
-            let idx = match self.index.get(&key) {
-                Some(&idx) => {
-                    self.touch(idx);
-                    idx
-                }
-                None => self.insert_chunk(key),
-            };
-            self.mru_key = key;
-            self.mru_slot = idx;
-            idx
-        };
-        (&mut self.slab[idx].slots[off..off + n], n)
     }
 
     /// Iterates over the maximal per-chunk runs covering `len` slots
@@ -266,131 +183,27 @@ impl<T: Default + Clone> ShadowTable<T> {
         }
     }
 
-    /// Moves a resident chunk to the most-recently-touched end.
-    fn touch(&mut self, idx: usize) {
-        if self.lru_tail == idx {
-            return;
-        }
-        self.unlink(idx);
-        self.link_tail(idx);
-    }
-
-    fn unlink(&mut self, idx: usize) {
-        let (prev, next) = (self.slab[idx].lru_prev, self.slab[idx].lru_next);
-        if prev != NIL {
-            self.slab[prev].lru_next = next;
-        } else {
-            self.lru_head = next;
-        }
-        if next != NIL {
-            self.slab[next].lru_prev = prev;
-        } else {
-            self.lru_tail = prev;
-        }
-    }
-
-    fn link_tail(&mut self, idx: usize) {
-        self.slab[idx].lru_prev = self.lru_tail;
-        self.slab[idx].lru_next = NIL;
-        if self.lru_tail != NIL {
-            self.slab[self.lru_tail].lru_next = idx;
-        } else {
-            self.lru_head = idx;
-        }
-        self.lru_tail = idx;
-    }
-
-    /// Allocates (or recycles) a chunk for `key` and links it as most
-    /// recently touched. Returns its slab index.
-    fn insert_chunk(&mut self, key: u64) -> usize {
-        self.maybe_evict();
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                let chunk = &mut self.slab[idx];
-                chunk.key = key;
-                chunk.slots.fill(T::default());
-                idx
-            }
-            None => {
-                self.slab.push(Chunk {
-                    key,
-                    slots: vec![T::default(); CHUNK_SLOTS].into_boxed_slice(),
-                    lru_prev: NIL,
-                    lru_next: NIL,
-                });
-                self.slab.len() - 1
-            }
-        };
-        self.index.insert(key, idx);
-        self.link_tail(idx);
-        // FIFO is the only policy that consumes allocation order; skip the
-        // queue otherwise so unbounded/LRU tables don't grow it forever.
-        if self.chunk_limit.is_some() && self.policy == EvictionPolicy::Fifo {
-            self.alloc_order.push_back(key);
-        }
-        idx
-    }
-
-    fn maybe_evict(&mut self) {
-        let Some(limit) = self.chunk_limit else {
-            return;
-        };
-        while self.index.len() >= limit {
-            let victim = match self.policy {
-                EvictionPolicy::Fifo => loop {
-                    match self.alloc_order.pop_front() {
-                        Some(key) if self.index.contains_key(&key) => break Some(key),
-                        Some(_) => continue,
-                        None => break None,
-                    }
-                },
-                // O(1): the least recently touched chunk is the list head.
-                EvictionPolicy::Lru => (self.lru_head != NIL).then(|| self.slab[self.lru_head].key),
-            };
-            match victim {
-                Some(key) => self.evict(key),
-                None => break,
-            }
-        }
-    }
-
-    fn evict(&mut self, key: u64) {
-        let idx = self
-            .index
-            .remove(&key)
-            .expect("eviction victim must be resident");
-        self.unlink(idx);
-        self.free.push(idx);
-        if self.mru_slot == idx {
-            self.mru_slot = NIL;
-        }
-        self.evicted_chunks += 1;
-        if self.log_evictions {
-            self.eviction_log.push(key);
-        }
-    }
-
     /// Starts recording evicted chunk keys (in victim order) into the
     /// eviction log, readable via [`ShadowTable::evictions`].
     ///
     /// The sharded profiler runs a residency oracle on its dispatch
     /// thread and replays the logged victims into the per-shard tables
-    /// through [`ShadowTable::evict_key`], so every shard sees exactly
-    /// the serial eviction sequence for its chunks.
+    /// through [`crate::GranuleTable::evict_key`], so every shard sees
+    /// exactly the serial eviction sequence for its chunks.
     pub fn enable_eviction_log(&mut self) {
-        self.log_evictions = true;
+        self.core.enable_eviction_log();
     }
 
     /// The chunk keys evicted since the last [`ShadowTable::clear_evictions`],
     /// in eviction order. Empty unless [`ShadowTable::enable_eviction_log`]
     /// was called.
     pub fn evictions(&self) -> &[u64] {
-        &self.eviction_log
+        self.core.evictions()
     }
 
     /// Forgets the logged evictions (the log stays enabled).
     pub fn clear_evictions(&mut self) {
-        self.eviction_log.clear();
+        self.core.clear_evictions();
     }
 
     /// Evicts the chunk with first-level key `key` (see [`chunk_key`]) if
@@ -402,43 +215,38 @@ impl<T: Default + Clone> ShadowTable<T> {
     /// per-shard table driven only by `evict_key` reproduces the
     /// residency (and therefore per-byte state) of a limited table.
     pub fn evict_key(&mut self, key: u64) -> bool {
-        if self.index.contains_key(&key) {
-            self.evict(key);
-            true
-        } else {
-            false
-        }
+        self.core.evict_key(key)
     }
 
     /// Number of resident second-level chunks.
     pub fn chunk_count(&self) -> usize {
-        self.index.len()
+        self.core.chunk_count()
     }
 
     /// Total chunks evicted by the limiter so far.
     pub fn evicted_chunks(&self) -> u64 {
-        self.evicted_chunks
+        self.core.evicted_chunks
     }
 
     /// Total `slot_mut` accesses so far.
     pub fn accesses(&self) -> u64 {
-        self.accesses
+        self.core.accesses
     }
 
     /// Accesses served by the one-entry MRU chunk cache.
     pub fn mru_hits(&self) -> u64 {
-        self.mru_hits
+        self.core.mru_hits
     }
 
     /// Ranged accesses served so far (`run_mut` calls with `len > 0`).
     pub fn runs(&self) -> u64 {
-        self.runs
+        self.core.runs
     }
 
     /// Total slots covered by ranged accesses. `run_bytes / runs` is the
     /// observed batching factor of the range API.
     pub fn run_bytes(&self) -> u64 {
-        self.run_bytes
+        self.core.run_bytes
     }
 
     /// Approximate resident shadow-memory footprint, eviction counters,
@@ -450,33 +258,20 @@ impl<T: Default + Clone> ShadowTable<T> {
     /// excluded, so residency drops when the limiter evicts and goes to
     /// zero after [`ShadowTable::clear`].
     pub fn stats(&self) -> MemoryStats {
-        debug_assert_eq!(
-            self.index.len(),
-            self.slab.len() - self.free.len(),
-            "every slab entry is either indexed (live) or free-listed"
-        );
-        MemoryStats {
-            resident_chunks: self.index.len() as u64,
-            resident_slots: (self.index.len() * CHUNK_SLOTS) as u64,
-            resident_bytes: (self.index.len() * CHUNK_SLOTS * std::mem::size_of::<T>()) as u64,
-            evicted_chunks: self.evicted_chunks,
-            accesses: self.accesses,
-            mru_hits: self.mru_hits,
-            table_probes: self.accesses - self.mru_hits,
-            runs: self.runs,
-            run_bytes: self.run_bytes,
-        }
+        self.core.stats(
+            CHUNK_SLOTS as u64,
+            (CHUNK_SLOTS * std::mem::size_of::<T>()) as u64,
+        )
     }
 
     /// Iterates over every resident `(addr, slot)` pair, in unspecified
     /// order.
     pub fn iter(&self) -> impl Iterator<Item = (Addr, &T)> {
-        self.index.iter().flat_map(|(&key, &idx)| {
-            self.slab[idx]
-                .slots
+        self.core.iter().flat_map(|(base, slots)| {
+            slots
                 .iter()
                 .enumerate()
-                .map(move |(off, slot)| ((key << CHUNK_BITS) | off as u64, slot))
+                .map(move |(off, slot)| (base | off as u64, slot))
         })
     }
 
@@ -484,20 +279,7 @@ impl<T: Default + Clone> ShadowTable<T> {
     /// the table had just been constructed with the same limit and policy
     /// (the eviction log is emptied but stays enabled if it was).
     pub fn clear(&mut self) {
-        self.slab.clear();
-        self.free.clear();
-        self.index.clear();
-        self.alloc_order.clear();
-        self.lru_head = NIL;
-        self.lru_tail = NIL;
-        self.mru_key = 0;
-        self.mru_slot = NIL;
-        self.accesses = 0;
-        self.mru_hits = 0;
-        self.evicted_chunks = 0;
-        self.runs = 0;
-        self.run_bytes = 0;
-        self.eviction_log.clear();
+        self.core.clear();
     }
 }
 
@@ -550,12 +332,12 @@ impl<T: Default + Clone> Default for ShadowTable<T> {
 impl<T> fmt::Debug for ShadowTable<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ShadowTable")
-            .field("chunks", &self.index.len())
-            .field("chunk_limit", &self.chunk_limit)
-            .field("policy", &self.policy)
-            .field("accesses", &self.accesses)
-            .field("mru_hits", &self.mru_hits)
-            .field("evicted_chunks", &self.evicted_chunks)
+            .field("chunks", &self.core.chunk_count())
+            .field("chunk_limit", &self.core.chunk_limit())
+            .field("policy", &self.core.policy)
+            .field("accesses", &self.core.accesses)
+            .field("mru_hits", &self.core.mru_hits)
+            .field("evicted_chunks", &self.core.evicted_chunks)
             .finish()
     }
 }
@@ -744,7 +526,11 @@ mod tests {
         assert_eq!(table.chunk_count(), 2);
         assert_eq!(table.evicted_chunks(), 62);
         // The slab never grows past limit + the one in-flight insertion.
-        assert!(table.slab.len() <= 3, "slab len {}", table.slab.len());
+        assert!(
+            table.core.slab_len() <= 3,
+            "slab len {}",
+            table.core.slab_len()
+        );
     }
 
     #[test]

@@ -233,7 +233,7 @@ impl OracleProfiler {
         if let Some(map) = reuse.as_mut() {
             map.entry(reader.func)
                 .or_insert_with(|| ContextReuse::new(sigil_callgrind::ContextId::ROOT))
-                .record(byte.reuse_count, byte.lifetime());
+                .record(byte.reuse_count, byte.lifetime(), 1);
         }
     }
 

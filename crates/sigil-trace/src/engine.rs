@@ -196,34 +196,46 @@ impl<O: ExecutionObserver> Engine<O> {
     ///
     /// # Panics
     ///
-    /// Panics in strict mode if `size` is zero.
+    /// Panics in strict mode if `size` is zero or the access runs past
+    /// the end of the 64-bit address space.
     pub fn read(&mut self, addr: Addr, size: u32) {
-        if size == 0 {
-            if self.strict {
-                panic!("{}", TraceError::EmptyAccess);
-            }
-            return;
+        let access = MemAccess::new(addr, size);
+        if self.admit(access) {
+            self.emit(RuntimeEvent::Read { access });
         }
-        self.emit(RuntimeEvent::Read {
-            access: MemAccess::new(addr, size),
-        });
     }
 
     /// Emits a write of `size` bytes at `addr`.
     ///
     /// # Panics
     ///
-    /// Panics in strict mode if `size` is zero.
+    /// Panics in strict mode if `size` is zero or the access runs past
+    /// the end of the 64-bit address space.
     pub fn write(&mut self, addr: Addr, size: u32) {
-        if size == 0 {
-            if self.strict {
-                panic!("{}", TraceError::EmptyAccess);
-            }
-            return;
+        let access = MemAccess::new(addr, size);
+        if self.admit(access) {
+            self.emit(RuntimeEvent::Write { access });
         }
-        self.emit(RuntimeEvent::Write {
-            access: MemAccess::new(addr, size),
-        });
+    }
+
+    /// Whether `access` may be emitted: it covers at least one byte and
+    /// ends inside the address space. Strict mode panics on any other;
+    /// lenient mode drops it.
+    fn admit(&self, access: MemAccess) -> bool {
+        let error = if access.is_empty() {
+            TraceError::EmptyAccess
+        } else if access.checked_end().is_none() {
+            TraceError::AccessPastAddressSpace {
+                addr: access.addr,
+                size: access.size,
+            }
+        } else {
+            return true;
+        };
+        if self.strict {
+            panic!("{error}");
+        }
+        false
     }
 
     /// Emits a read-modify-write of `size` bytes at `addr`, plus one op.
@@ -388,6 +400,30 @@ mod tests {
     fn zero_size_read_panics() {
         let mut e = Engine::new(CountingObserver::new());
         e.read(0x0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "runs past the end of the 64-bit address space")]
+    fn read_past_the_address_space_panics() {
+        let mut e = Engine::new(CountingObserver::new());
+        e.read(u64::MAX - 3, 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "runs past the end of the 64-bit address space")]
+    fn write_past_the_address_space_panics() {
+        let mut e = Engine::new(CountingObserver::new());
+        e.write(u64::MAX - 3, 8);
+    }
+
+    #[test]
+    fn lenient_mode_drops_inadmissible_accesses() {
+        let mut e = Engine::new(CountingObserver::new());
+        e.set_strict(false);
+        e.read(0x10, 0);
+        e.write(u64::MAX, 2);
+        e.read(u64::MAX - 7, 7);
+        assert_eq!(e.events_emitted(), 1, "only the access ending in range");
     }
 
     #[test]

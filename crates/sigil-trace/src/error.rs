@@ -3,6 +3,8 @@
 use std::error::Error;
 use std::fmt;
 
+use crate::Addr;
+
 /// Errors produced while driving a trace through [`crate::Engine`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
@@ -18,6 +20,14 @@ pub enum TraceError {
     },
     /// A memory access with zero size was emitted.
     EmptyAccess,
+    /// A memory access whose end does not fit in 64 bits was emitted: it
+    /// runs off the top of the address space.
+    AccessPastAddressSpace {
+        /// First byte address of the access.
+        addr: Addr,
+        /// Access width in bytes.
+        size: u32,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -31,6 +41,10 @@ impl fmt::Display for TraceError {
                 write!(f, "trace ended with {depth} unclosed call frames")
             }
             TraceError::EmptyAccess => f.write_str("memory access with zero size"),
+            TraceError::AccessPastAddressSpace { addr, size } => write!(
+                f,
+                "memory access [{addr:#x}; {size}B] runs past the end of the 64-bit address space"
+            ),
         }
     }
 }
@@ -48,6 +62,10 @@ mod tests {
             TraceError::SyscallExitWithoutEnter,
             TraceError::UnbalancedTrace { depth: 3 },
             TraceError::EmptyAccess,
+            TraceError::AccessPastAddressSpace {
+                addr: u64::MAX - 3,
+                size: 8,
+            },
         ];
         for e in errors {
             let msg = e.to_string();

@@ -107,9 +107,20 @@ impl MemAccess {
     }
 
     /// The exclusive end address of the access.
+    ///
+    /// Meaningful only for accesses whose end fits in 64 bits (see
+    /// [`MemAccess::checked_end`]); [`crate::Engine`] and the trace
+    /// decoder admit no other.
     #[inline]
     pub const fn end(self) -> Addr {
         self.addr + self.size as u64
+    }
+
+    /// The exclusive end address, or `None` when it does not fit in 64
+    /// bits: the access runs off the top of the address space.
+    #[inline]
+    pub const fn checked_end(self) -> Option<Addr> {
+        self.addr.checked_add(self.size as u64)
     }
 }
 

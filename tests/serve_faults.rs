@@ -21,7 +21,7 @@ use sigil_serve::{
     shutdown_server, Client, Frame, FrameKind, Listen, ServeConfig, Server, SessionSpec, WireError,
     FRAME_HEADER_LEN,
 };
-use sigil_trace::{CallNumber, FunctionId, OpClass, RuntimeEvent};
+use sigil_trace::{CallNumber, FunctionId, MemAccess, OpClass, RuntimeEvent};
 use sigil_vm::GenProgram;
 use sigil_workloads::{Benchmark, InputSize};
 
@@ -243,6 +243,8 @@ fn oversized_record_count_gets_located_error() {
 
 /// A malformed record inside a chunk is located at its own byte on the
 /// connection, in both session kinds — not at the payload's first byte.
+/// That covers a well-formed access that runs past the end of the 64-bit
+/// address space.
 #[test]
 fn chunk_decode_error_names_the_bad_byte() {
     let server = Server::bind(Listen::parse("127.0.0.1:0"), ServeConfig::default())
@@ -293,6 +295,31 @@ fn chunk_decode_error_names_the_bad_byte() {
             error.message
         );
     }
+
+    let spec = SessionSpec::trace("past-the-top", serve_config());
+    let mut records = vec![
+        TraceRecord::Sym {
+            id: 0,
+            name: "main".to_owned(),
+        },
+        TraceRecord::Event(RuntimeEvent::Call {
+            callee: FunctionId::from_raw(0),
+        }),
+    ];
+    let good = encode_chunk_payload(&records).len() as u64;
+    records.push(TraceRecord::Event(RuntimeEvent::Write {
+        access: MemAccess::new(u64::MAX - 3, 8),
+    }));
+    let (stream, payload_at) = send_raw_chunk(&address, &spec, 3, encode_chunk_payload(&records));
+    let error = read_error(&stream);
+    assert_eq!(error.offset, payload_at + good, "{}", error.message);
+    assert!(
+        error
+            .message
+            .contains("past the end of the 64-bit address space"),
+        "unexpected error message: {}",
+        error.message
+    );
     drop(server);
 }
 
