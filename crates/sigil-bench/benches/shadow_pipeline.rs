@@ -1,15 +1,15 @@
-//! Pipelined epoch dispatch across shard counts.
+//! Sharded replay across shard counts on a dense trace.
 //!
-//! The sharded replay engine (`sigil_core::shard`) resolves accesses in
-//! epochs: with no shadow-chunk limit the dispatch-side residency oracle
-//! is elided entirely, and consecutive same-shard runs coalesce into one
-//! channel record. `replay_dense/N` prices the engine at shard counts 1,
-//! 2, 4 and 8 on a dense producer/consumer trace.
+//! The sharded replay engine (`sigil_core::shard`) appends one record
+//! per chunk run to a shared access log, and each worker classifies the
+//! runs of the chunks it owns. `replay_dense/N` prices the engine at
+//! shard counts 1, 2, 4 and 8 on a dense producer/consumer trace with
+//! reuse and line mode on; shard count 1 is serial replay.
 //!
 //! Each iteration includes `into_profile`, which joins the workers and
 //! merges their fragments — the full cost a `sigil profile --shards N`
 //! run pays. On a machine with fewer cores than shards the sharded arms
-//! price overhead, not speedup. The dispatch thread's own cost per
+//! price overhead, not speedup. The profiler thread's own cost per
 //! access is measured by the traced run of the one-command benchmark
 //! (`shard.dispatch_ns_per_access`, `shard.records_per_access`).
 

@@ -764,9 +764,8 @@ fn print_sweep_telemetry(shards: usize) {
         let records = counter("dispatch.records");
         if accesses > 0 {
             println!(
-                "# dispatch: {:.0} ns/access busy ({:.0} ns/access resolving), {:.3} records/access",
+                "# dispatch: {:.0} ns/access busy, {:.3} records/access",
                 dispatch_busy as f64 / accesses as f64,
-                counter("dispatch.resolve_ns") as f64 / accesses as f64,
                 records as f64 / accesses as f64
             );
         }

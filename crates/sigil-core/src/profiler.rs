@@ -174,8 +174,8 @@ impl SigilProfiler {
     /// run sequence — so the counters equal serial replay's regardless
     /// of worker scheduling. Unbounded sharded runs elide the oracle:
     /// the access counters stay exact, while mid-run residency comes
-    /// from the workers' per-batch snapshots (it may lag in-flight
-    /// batches; the finished profile's stats are exact).
+    /// from the workers' per-block snapshots (it may lag in-flight
+    /// blocks; the finished profile's stats are exact).
     pub fn memory_stats(&self) -> MemoryStats {
         self.with_lines(match &self.engine {
             Some(engine) => engine.memory_stats(),
@@ -247,7 +247,6 @@ impl SigilProfiler {
             events.push_call(parent.call, call, ctx);
         }
         if let Some(engine) = self.engine.as_mut() {
-            engine.sync_ctxs(self.cg.tree());
             engine.log_call(call, ctx);
         }
         if let Some(builder) = self.phases.as_mut() {
@@ -333,7 +332,6 @@ impl SigilProfiler {
                 frame.ctx,
                 frame.call,
                 self.current_thread,
-                reader_fn,
                 at,
                 self.phase_clock,
             );
@@ -438,7 +436,6 @@ impl SigilProfiler {
             sigil_obs::metrics::counter("shadow.shards.idle_ns").add(idle_total);
             // Dispatch-thread telemetry: where the Amdahl ceiling is.
             sigil_obs::metrics::add_counter("dispatch.busy_ns", dispatch.busy_ns);
-            sigil_obs::metrics::add_counter("dispatch.resolve_ns", dispatch.resolve_ns);
             sigil_obs::metrics::add_counter("dispatch.records", dispatch.records);
             sigil_obs::metrics::add_counter("dispatch.accesses", dispatch.accesses);
             sigil_obs::metrics::set_gauge(
@@ -912,6 +909,17 @@ mod tests {
             e.scoped_named("produce", |e| e.write(4096 - 8, 16)); // overwrite
             e.scoped_named("consume", |e| e.read(4096 - 8, 16));
             e.read(0x20_0000, 12); // never-written root input
+
+            // One read spanning five chunks, more than 2, 3 or 4 shards:
+            // each worker skips the others' runs but must still count
+            // their parts, or the transfers splice back out of byte
+            // order. The first chunk's key (769) is 1 modulo 2, 3, 4 and
+            // 8, so part 0 is never on shard 0.
+            let chunks = 0x30_1000;
+            for k in 0..5 {
+                e.scoped_named("produce", |e| e.write(chunks + k * 4096, 4096));
+            }
+            e.scoped_named("consume", |e| e.read(chunks + 4096 - 8, 3 * 4096 + 16));
         });
     }
 
@@ -919,23 +927,28 @@ mod tests {
     fn sharded_profile_matches_serial_byte_for_byte() {
         // The tentpole invariant: with every feature enabled, sharded
         // replay serializes to the identical profile.
-        for shards in [2, 3, 4, 8] {
-            let base = SigilConfig::default()
-                .with_reuse_mode()
-                .with_line_mode(64)
-                .with_events()
-                .with_phases(5);
-            let serial = run(base, composite_scenario);
-            let sharded = run(base.with_shards(shards), composite_scenario);
-            assert_eq!(
-                serde_json::to_string(&serial).unwrap(),
-                serde_json::to_string(&sharded).unwrap(),
-                "shards={shards}"
-            );
-            assert!(
-                serial.phases.as_ref().is_some_and(|p| !p.pairs.is_empty()),
-                "composite scenario produces phase activity"
-            );
+        // Phases without reuse read the phase clock alone.
+        let full = SigilConfig::default()
+            .with_reuse_mode()
+            .with_line_mode(64)
+            .with_events()
+            .with_phases(5);
+        let phases_only = SigilConfig::default().with_events().with_phases(5);
+        for base in [full, phases_only] {
+            for shards in [2, 3, 4, 8] {
+                let serial = run(base, composite_scenario);
+                let sharded = run(base.with_shards(shards), composite_scenario);
+                assert_eq!(
+                    serde_json::to_string(&serial).unwrap(),
+                    serde_json::to_string(&sharded).unwrap(),
+                    "shards={shards} reuse={}",
+                    base.reuse_mode
+                );
+                assert!(
+                    serial.phases.as_ref().is_some_and(|p| !p.pairs.is_empty()),
+                    "composite scenario produces phase activity"
+                );
+            }
         }
     }
 

@@ -9,45 +9,49 @@
 //! never interact — the replay is order-independent *across* shards as
 //! long as each shard sees *its* accesses in program order.
 //!
-//! Three pieces of state are **not** per-byte and stay on the dispatch
+//! **One shared access log.** The profiler thread splits each access at
+//! chunk edges and appends one 32-byte [`LogRecord`] per chunk run to a
+//! [`Block`] of [`BLOCK_RECORDS`] records. A full block is published by
+//! `Arc` to every worker over a bounded channel (backpressure), and each
+//! worker reads every record but classifies only the runs of the chunks
+//! it owns, one `run_mut` and one Table-I pass per run. Published
+//! blocks are recycled once every worker has dropped them.
+//!
+//! Three pieces of state are **not** per-byte and stay on the profiler
 //! thread:
 //!
 //! * **Global order** — call numbers, timestamps, and the calltree cursor
-//!   advance once per event; the dispatcher resolves them and carries the
-//!   results (`ctx`, `call`, `reader_fn`, `at`) inside each
-//!   [`AccessRecord`], so workers never consult shared state.
+//!   advance once per event. A record carries the access's context, call
+//!   and thread; its `(op clock, phase clock)` pair rides in the block's
+//!   side array when reuse or phases read them. A block also carries the
+//!   functions of the contexts defined since the previous block, so a
+//!   worker resolves reader and producer functions from local state.
+//!   Workers count the global access index and each run's part over
+//!   *every* record, the skipped ones included, so the transfer segments
+//!   they return are keyed exactly as serial replay emits them.
 //! * **Residency** — chunk eviction is a *global* decision (the limit
 //!   spans the whole table, FIFO/LRU order interleaves all chunks). With
-//!   a `shadow_chunk_limit` the dispatcher runs a zero-sized residency
-//!   oracle (`ShadowTable<()>`) through the identical run sequence; its
-//!   logged victims are mirrored to the owning shard
-//!   (`ShadowTable::evict_key`) *between* the same runs as in serial
-//!   replay, so per-shard tables reproduce the serial residency — and the
-//!   oracle's counters reproduce the serial [`MemoryStats`] exactly.
-//!   **Without** a limit there are no evictions and residency is no
-//!   longer a global decision at all: the oracle is *elided*, each worker
-//!   owns the residency of its own chunks (disjoint sets whose union is
-//!   the serial footprint, folded through the commutative
-//!   [`ShardFragment`] merge), and the serial table's access counters are
-//!   reproduced arithmetically by [`RouteStats`] — dispatch degenerates
-//!   to address routing.
-//! * **Event order** — the event file is globally ordered. The dispatcher
-//!   keeps a compact [`SeqOp`] log; workers return per-access transfer
-//!   segments; [`sequence_events`] replays the log with simulated frame
-//!   stacks, splicing the segments back in access order with the same
-//!   `push_compute`/`push_transfer` coalescing as the serial emitter, so
-//!   the reconstructed file is byte-identical.
+//!   a `shadow_chunk_limit` the profiler thread runs a zero-sized
+//!   residency oracle (`ShadowTable<()>`) through the identical run
+//!   sequence; its victims go into the log *before* the run that evicted
+//!   them, and the victim's owner applies them (`GranuleTable::evict_key`)
+//!   between the same runs as serial replay — so per-shard tables
+//!   reproduce the serial residency, and the oracle's counters reproduce
+//!   the serial [`MemoryStats`] exactly. **Without** a limit there are no
+//!   evictions and residency is no longer a global decision at all: the
+//!   oracle is *elided*, each worker owns the residency of its own chunks
+//!   (disjoint sets whose union is the serial footprint, folded through
+//!   the commutative [`ShardFragment`] merge), and the serial table's
+//!   access counters are reproduced arithmetically by [`RouteStats`].
+//! * **Event order** — the event file is globally ordered. The profiler
+//!   thread keeps a compact [`SeqOp`] log; workers return per-access
+//!   transfer segments; [`sequence_events`] replays the log with
+//!   simulated frame stacks, splicing the segments back in access order
+//!   with the same `push_compute`/`push_transfer` coalescing as the
+//!   serial emitter, so the reconstructed file is byte-identical.
 //!
-//! Dispatch itself is **epoch-pipelined**: each access is resolved into
-//! chunk runs (plus any eviction mirrors) in a scratch list, then staged
-//! into per-shard batches, where consecutive same-shard runs with no
-//! intervening eviction coalesce into one [`AccessRecord`] carrying a
-//! sub-access `count`/`sub_len` stride (workers reconstruct per-access
-//! metadata exactly — see [`can_coalesce`] for the legality argument).
-//! Every [`EPOCH_ACCESSES`] accesses all staged batches flush so workers
-//! drain epoch *k* while the dispatcher resolves epoch *k+1*. The cost of
-//! the dispatch thread is observable through the `dispatch.busy_ns` /
-//! `dispatch.resolve_ns` / `dispatch.records_per_access` metrics.
+//! The profiler thread's cost is observable through the
+//! `dispatch.busy_ns` / `dispatch.records_per_access` metrics.
 //!
 //! Everything a worker *does* produce (communication tallies, edges,
 //! reuse aggregates) is a sum over disjoint byte sets, so per-shard
@@ -56,7 +60,7 @@
 //! the `shard_merge` proptests.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -76,86 +80,83 @@ use crate::phase::{PhaseBuilder, PhaseProfile};
 use crate::reuse::ContextReuse;
 use crate::stats::{CommEdge, CommStats};
 
-/// Messages per batch before a channel send.
-const BATCH: usize = 256;
-/// Batches in flight per worker before the dispatcher blocks
+/// Log records per published block.
+const BLOCK_RECORDS: usize = 4096;
+/// Blocks in flight per worker before the profiler thread blocks
 /// (backpressure when workers outnumber cores).
 const CHANNEL_DEPTH: usize = 8;
-/// Dispatched accesses per staging epoch. Coalescing slows record
-/// production, so batches alone would add latency before workers see
-/// work; at each epoch boundary every non-empty staging batch flushes,
-/// keeping the previous epoch draining while the next one resolves.
-const EPOCH_ACCESSES: u64 = 2048;
 
 /// Transfer segments produced by one access, keyed by global access
 /// index: `(part, [(producer_call, bytes)])` per chunk run that found
 /// cross-call dependencies.
 pub(crate) type TransferMap = HashMap<u64, Vec<(u32, Vec<(CallNumber, u64)>)>>;
 
-/// One shadow access run — or a coalesced train of them — pre-resolved
-/// on the dispatch thread.
-///
-/// `addr..addr+len` never crosses a chunk boundary (runs split at chunk
-/// edges, and coalescing only extends within a chunk), so a worker
-/// applies it with a single `run_mut`.
-///
-/// A record with `count > 1` carries that many *consecutive whole
-/// accesses* coalesced into one message. For reads needing per-access
-/// metadata (`sub_len > 0`), sub-access `k` of the train covers
-/// `sub_len` bytes starting at `addr + k*sub_len` with index `idx + k`,
-/// timestamp `at.advance(k)`, and phase stamp `phase_at + k` — the
-/// coalescing predicate ([`can_coalesce`]) admits exactly the trains for
-/// which this reconstruction is lossless.
+/// [`LogRecord::flags`]: the run writes (a run without it reads).
+const WRITE: u8 = 1;
+/// [`LogRecord::flags`]: the record evicts the chunk keyed by `addr`.
+const EVICT: u8 = 2;
+/// [`LogRecord::flags`]: the run is its access's first.
+const FIRST: u8 = 4;
+
+/// One chunk run of an access, or one residency eviction, in the access
+/// log. A run never leaves its 4 KiB chunk, so a worker applies it with
+/// one `run_mut`.
 #[derive(Debug, Clone, Copy)]
-struct AccessRecord {
-    /// Global access index of the train's first access (one per
-    /// `Read`/`Write` event, shared by all parts of a straddling
-    /// access) — sequences transfers back into program order.
-    idx: u64,
-    /// Run index within the access, in byte order.
-    part: u32,
-    write: bool,
+struct LogRecord {
+    /// The run's first byte; for an eviction, the victim's chunk key.
     addr: Addr,
-    len: u32,
-    /// Coalesced accesses in this record (`1` = a plain run).
-    count: u32,
-    /// Per-sub-access byte stride for coalesced reads; `0` when the
-    /// record needs no sub-access reconstruction (writes, plain runs,
-    /// straddle parts, free-mode reads).
-    sub_len: u32,
-    /// The consuming/producing frame's context.
-    ctx: ContextId,
-    /// Its dynamic call number.
+    /// The consuming/producing frame's dynamic call number.
     call: CallNumber,
+    /// Its context; the reader's function is `ctx`'s.
+    ctx: ContextId,
     /// Guest thread the access ran on (raw thread id) — part of the
     /// owner identity, and the discriminant for inter-thread
     /// classification.
     thread: u32,
-    /// The reader's function identity (reads only).
-    reader_fn: Option<FunctionId>,
-    /// Op-clock timestamp of the (first) access.
-    at: Timestamp,
-    /// Phase-clock timestamp of the (first) access (post-tick —
-    /// includes the access's own retired op), for phase-profile
-    /// transfer bucketing.
-    phase_at: u64,
+    /// Run length in bytes, at most one chunk.
+    len: u16,
+    /// [`WRITE`], [`EVICT`] and [`FIRST`].
+    flags: u8,
 }
 
-enum ShardMsg {
-    /// Defines the next `defs.len()` context ids' functions (contexts
-    /// broadcast in id order, so the ids are implicit). One message per
-    /// sync covers every context created since the last one; the `Arc`
-    /// is shared across shards instead of cloning the definitions
-    /// per-shard.
-    CtxDefs(Arc<[Option<FunctionId>]>),
-    Access(AccessRecord),
-    /// Mirror of a residency-oracle eviction owned by this shard.
-    Evict {
-        key: u64,
-    },
+const _: () = assert!(std::mem::size_of::<LogRecord>() == 32);
+
+impl LogRecord {
+    fn eviction(key: u64) -> Self {
+        LogRecord {
+            addr: key,
+            call: CallNumber::ROOT,
+            ctx: ContextId::ROOT,
+            thread: 0,
+            len: 0,
+            flags: EVICT,
+        }
+    }
 }
 
-/// Globally-ordered event-file operations logged by the dispatcher
+/// A block of the access log, published to every worker at once.
+#[derive(Debug, Default)]
+struct Block {
+    /// Functions of the contexts defined since the previous block, in id
+    /// order; a worker extends its context map before reading `records`.
+    ctx_defs: Vec<Option<FunctionId>>,
+    records: Vec<LogRecord>,
+    /// `(op clock, phase clock)` of each record, filled only when reuse
+    /// (op clock) or phases (phase clock, post-tick: it includes the
+    /// access's own retired op) read them.
+    clocks: Vec<(Timestamp, u64)>,
+}
+
+impl Block {
+    fn push(&mut self, rec: LogRecord, clocks: Option<(Timestamp, u64)>) {
+        self.records.push(rec);
+        if let Some(clocks) = clocks {
+            self.clocks.push(clocks);
+        }
+    }
+}
+
+/// Globally-ordered event-file operations logged by the profiler thread
 /// (events mode only) and replayed by [`sequence_events`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum SeqOp {
@@ -176,30 +177,8 @@ pub(crate) enum SeqOp {
     Read { idx: u64 },
 }
 
-/// One access resolved against global-order state: either a chunk run
-/// bound for its owner shard, or an eviction mirror that must precede
-/// the run that triggered it.
-#[derive(Debug, Clone, Copy)]
-enum ResolvedOp {
-    Evict { key: u64 },
-    Run { addr: Addr, len: u32 },
-}
-
-/// Read-coalescing regime, fixed per engine by the feature set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ReadCoalesce {
-    /// No per-access metadata is consumed by a read (reuse, events,
-    /// and phases all off): any contiguous same-owner reads
-    /// merge, including straddle parts.
-    Free,
-    /// Per-access metadata matters: only whole single-run accesses on
-    /// an exact `idx`/`at`/`phase_at` stride merge, so workers can
-    /// reconstruct each sub-access.
-    Strided,
-}
-
 /// Arithmetic mirror of an *unbounded* [`ShadowTable`]'s access
-/// counters, maintained by the elided-oracle dispatch path.
+/// counters, maintained by the elided-oracle path.
 ///
 /// With no chunk limit the table's counter evolution is a pure function
 /// of the run-key sequence: `run_mut` of `n` slots adds `n` accesses and
@@ -227,16 +206,13 @@ impl RouteStats {
     }
 }
 
-/// Dispatch-thread cost and shape counters, exported by the profiler as
+/// Profiler-thread cost and shape counters, exported by the profiler as
 /// `dispatch.*` metrics.
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct DispatchStats {
     /// Nanoseconds spent in `dispatch_access` (obs-enabled runs only).
     pub(crate) busy_ns: u64,
-    /// Nanoseconds of that spent resolving global order (oracle /
-    /// routing), before staging (obs-enabled runs only).
-    pub(crate) resolve_ns: u64,
-    /// Access records staged (after coalescing).
+    /// Run records appended to the log (one per chunk run).
     pub(crate) records: u64,
     /// Accesses dispatched.
     pub(crate) accesses: u64,
@@ -253,7 +229,7 @@ pub(crate) struct ShardResult {
     /// residency from the workers' shared chunk counts).
     pub(crate) stats: MemoryStats,
     pub(crate) evictions_applied: u64,
-    /// Nanoseconds this worker spent applying batches (telemetry).
+    /// Nanoseconds this worker spent applying blocks (telemetry).
     pub(crate) busy_ns: u64,
     /// Nanoseconds this worker spent blocked on its channel (telemetry).
     pub(crate) idle_ns: u64,
@@ -269,7 +245,7 @@ pub(crate) struct ShardFinish {
     pub(crate) seq: Vec<SeqOp>,
 }
 
-/// One shard's (or the dispatch thread's) contribution to a profile:
+/// One shard's (or the profiler thread's) contribution to a profile:
 /// the commutative merge layer.
 ///
 /// `comm` and `reuse` are indexed by raw context id; `edges` is sorted
@@ -362,52 +338,6 @@ impl ShardResult {
     }
 }
 
-/// Decides whether `cand` can extend the coalesced train `prev` (the
-/// last staged record of `cand`'s shard, with the staging window still
-/// open — no flush, eviction, or context sync in between).
-///
-/// Always required: same direction, owner (`ctx`, `call`), reader
-/// identity, and byte contiguity (`prev` ends where `cand` starts).
-/// Contiguity plus same-shard routing implies same-chunk (`N ≥ 2`
-/// shards map adjacent chunks to different shards), so a merged record
-/// still never straddles a chunk.
-///
-/// Writes always merge: a write touches per-byte state through the
-/// owner alone, so splitting a write train at any boundary is
-/// unobservable. Reads merge freely when no per-access metadata is
-/// consumed ([`ReadCoalesce::Free`]); otherwise only whole single-run
-/// accesses on an exact index/timestamp/phase stride merge
-/// ([`ReadCoalesce::Strided`]), which is precisely the shape
-/// `apply_access` can split back losslessly.
-fn can_coalesce(mode: ReadCoalesce, prev: &AccessRecord, cand: &AccessRecord) -> bool {
-    // The thread is part of the owner identity: root frames across
-    // guest threads share `(ctx, call)`, so merging across a thread
-    // boundary would conflate distinct owners.
-    if prev.write != cand.write
-        || prev.ctx != cand.ctx
-        || prev.call != cand.call
-        || prev.thread != cand.thread
-        || prev.reader_fn != cand.reader_fn
-        || prev.addr.wrapping_add(u64::from(prev.len)) != cand.addr
-    {
-        return false;
-    }
-    if cand.write {
-        return true;
-    }
-    match mode {
-        ReadCoalesce::Free => true,
-        ReadCoalesce::Strided => {
-            cand.sub_len > 0
-                && cand.sub_len == cand.len
-                && prev.sub_len == cand.sub_len
-                && cand.idx == prev.idx + u64::from(prev.count)
-                && cand.at == prev.at.advance(u64::from(prev.count))
-                && cand.phase_at == prev.phase_at + u64::from(prev.count)
-        }
-    }
-}
-
 fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -418,13 +348,14 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// The dispatch-side engine owned by a sharded [`SigilProfiler`].
+/// The profiler-side engine owned by a sharded [`SigilProfiler`]: the
+/// writer of the access log.
 pub(crate) struct ShardEngine {
     shards: usize,
     /// Zero-sized residency oracle: replays the exact serial run
     /// sequence, so its counters and its eviction log *are* the serial
     /// table's. `None` when the shadow memory is unbounded: no
-    /// evictions can occur, so dispatch elides the table and
+    /// evictions can occur, so the engine elides the table and
     /// [`RouteStats`] reproduces its counters.
     oracle: Option<ShadowTable<()>>,
     /// Counter mirror for the elided-oracle path.
@@ -432,42 +363,33 @@ pub(crate) struct ShardEngine {
     /// Prices resident chunks and split granules as the workers' granule
     /// tables hold them ([`GranuleTable::price`] for the active slot).
     price: PriceFn,
-    senders: Vec<SyncSender<Vec<ShardMsg>>>,
-    batches: Vec<Vec<ShardMsg>>,
-    /// Whether the last message staged to this shard is an `Access`
-    /// still eligible for coalescing (no flush or control message has
-    /// closed the window since).
-    staging_open: Vec<bool>,
-    handles: Vec<Option<JoinHandle<ShardResult>>>,
-    /// A worker died before its channel closed: `(shard, panic
-    /// message)`, reported on the next dispatch instead of profiling
-    /// into the void until join.
-    poisoned: Option<(usize, String)>,
-    /// Contexts broadcast so far (defs are sent in id order).
+    /// The block being filled.
+    block: Block,
+    /// Published blocks, oldest first. The oldest is refilled once every
+    /// worker has dropped it.
+    published: VecDeque<Arc<Block>>,
+    /// Whether records carry their clocks (reuse or phases on).
+    clocks_on: bool,
+    senders: Vec<SyncSender<Arc<Block>>>,
+    handles: Vec<JoinHandle<ShardResult>>,
+    /// Contexts whose functions have gone into the log so far.
     synced_ctxs: usize,
-    next_idx: u64,
     events_on: bool,
     seq: Vec<SeqOp>,
-    /// Per-access resolution scratch (evictions interleaved before the
-    /// runs that triggered them, in serial order).
-    scratch_ops: Vec<ResolvedOp>,
-    read_coalesce: ReadCoalesce,
-    /// Accesses dispatched since the last epoch flush.
-    epoch_accesses: u64,
     dispatch: DispatchStats,
     /// Per-worker resident-chunk counts (elided mode) and split-granule
-    /// counts (both modes), refreshed by each worker after every batch —
-    /// mid-run residency reads lag in-flight batches; the post-join
-    /// stats are exact.
+    /// counts (both modes), refreshed by each worker after every block —
+    /// mid-run residency reads lag in-flight blocks; the post-join stats
+    /// are exact.
     resident_chunks: Vec<Arc<AtomicU64>>,
     split_granules: Vec<Arc<AtomicU64>>,
-    /// Telemetry (obs-enabled runs only): batches sent per shard, and
-    /// the workers' shared drain counters — their difference is the
-    /// channel depth sampled into the timeseries at each flush.
+    /// Telemetry (obs-enabled runs only): blocks published, and the
+    /// workers' shared drain counters — their difference is the channel
+    /// depth sampled into the timeseries at each publish.
     obs_on: bool,
-    sent_batches: Vec<u64>,
-    received_batches: Vec<Arc<AtomicU64>>,
-    /// Pre-built `shard.{i}.depth` gauge keys (no per-flush `format!`).
+    sent_blocks: u64,
+    received_blocks: Vec<Arc<AtomicU64>>,
+    /// Pre-built `shard.{i}.depth` gauge keys (no per-publish `format!`).
     depth_keys: Vec<String>,
 }
 
@@ -477,7 +399,7 @@ impl std::fmt::Debug for ShardEngine {
             .field("shards", &self.shards)
             .field("oracle_elided", &self.oracle.is_none())
             .field("synced_ctxs", &self.synced_ctxs)
-            .field("dispatched_accesses", &self.next_idx)
+            .field("dispatched_accesses", &self.dispatch.accesses)
             .finish_non_exhaustive()
     }
 }
@@ -496,15 +418,9 @@ impl ShardEngine {
             oracle.enable_eviction_log();
             oracle
         });
-        let read_coalesce =
-            if config.reuse_mode || config.record_events || config.phase_bucket_ops.is_some() {
-                ReadCoalesce::Strided
-            } else {
-                ReadCoalesce::Free
-            };
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
-        let mut received_batches = Vec::with_capacity(shards);
+        let mut received_blocks = Vec::with_capacity(shards);
         let mut resident_chunks = Vec::with_capacity(shards);
         let mut split_granules = Vec::with_capacity(shards);
         let (worker, price) = if config.reuse_mode {
@@ -515,52 +431,49 @@ impl ShardEngine {
         let events_on = config.record_events;
         let phase_bucket_ops = config.phase_bucket_ops;
         for shard in 0..shards {
-            let (tx, rx) = sync_channel::<Vec<ShardMsg>>(CHANNEL_DEPTH);
+            let (tx, rx) = sync_channel::<Arc<Block>>(CHANNEL_DEPTH);
             senders.push(tx);
             let received = Arc::new(AtomicU64::new(0));
-            received_batches.push(Arc::clone(&received));
+            received_blocks.push(Arc::clone(&received));
             let resident = Arc::new(AtomicU64::new(0));
             resident_chunks.push(Arc::clone(&resident));
             let splits = Arc::new(AtomicU64::new(0));
             split_granules.push(Arc::clone(&splits));
             let spec = WorkerSpec {
                 shard,
+                shards,
                 events_on,
                 phase_bucket_ops,
-                batches_received: received,
+                blocks_received: received,
                 resident_chunks: resident,
                 split_granules: splits,
             };
-            handles.push(Some(
+            handles.push(
                 std::thread::Builder::new()
                     .name(format!("sigil-shard-{shard}"))
                     .spawn(move || worker(spec, rx))
                     .expect("spawn shard worker"),
-            ));
+            );
         }
         ShardEngine {
             shards,
             oracle,
             route: RouteStats::default(),
             price,
+            block: Block::default(),
+            published: VecDeque::new(),
+            clocks_on: config.reuse_mode || phase_bucket_ops.is_some(),
             senders,
-            batches: (0..shards).map(|_| Vec::with_capacity(BATCH)).collect(),
-            staging_open: vec![false; shards],
             handles,
-            poisoned: None,
             synced_ctxs: 0,
-            next_idx: 0,
             events_on,
             seq: Vec::new(),
-            scratch_ops: Vec::new(),
-            read_coalesce,
-            epoch_accesses: 0,
             dispatch: DispatchStats::default(),
             resident_chunks,
             split_granules,
             obs_on: sigil_obs::is_enabled(),
-            sent_batches: vec![0; shards],
-            received_batches,
+            sent_blocks: 0,
+            received_blocks,
             depth_keys: (0..shards).map(|s| format!("shard.{s}.depth")).collect(),
         }
     }
@@ -570,120 +483,81 @@ impl ShardEngine {
         self.shards
     }
 
-    /// Whether dispatch runs without a residency oracle.
+    /// Whether the engine runs without a residency oracle.
     #[cfg(test)]
     pub(crate) fn oracle_elided(&self) -> bool {
         self.oracle.is_none()
     }
 
-    fn shard_of(&self, key: u64) -> usize {
-        (key % self.shards as u64) as usize
-    }
-
-    /// Stages a control message (context sync / eviction mirror),
-    /// closing the shard's coalescing window: per-byte replay order
-    /// within a shard is batch order, so nothing may merge across it.
-    fn push_ctl(&mut self, shard: usize, msg: ShardMsg) {
-        self.staging_open[shard] = false;
-        let batch = &mut self.batches[shard];
-        batch.push(msg);
-        if batch.len() >= BATCH {
-            self.flush_batch(shard);
-        }
-    }
-
-    /// Stages one resolved run, extending the shard's open coalescing
-    /// train when legal.
-    fn stage_access(&mut self, shard: usize, rec: AccessRecord) {
-        if self.staging_open[shard] {
-            if let Some(ShardMsg::Access(prev)) = self.batches[shard].last_mut() {
-                if can_coalesce(self.read_coalesce, prev, &rec) {
-                    prev.len += rec.len;
-                    prev.count += 1;
-                    debug_assert_eq!(
-                        chunk_key(prev.addr),
-                        chunk_key(prev.addr + u64::from(prev.len) - 1),
-                        "coalesced records never straddle chunks"
-                    );
-                    return;
-                }
+    /// Publishes the filled block to every worker and starts the next
+    /// one, reusing the oldest published block once no worker holds it.
+    fn publish(&mut self) {
+        let next = match self.published.pop_front().map(Arc::try_unwrap) {
+            Some(Ok(mut block)) => {
+                block.ctx_defs.clear();
+                block.records.clear();
+                block.clocks.clear();
+                block
+            }
+            Some(Err(held)) => {
+                self.published.push_front(held);
+                Block::default()
+            }
+            None => Block::default(),
+        };
+        let block = Arc::new(std::mem::replace(&mut self.block, next));
+        for shard in 0..self.shards {
+            if self.senders[shard].send(Arc::clone(&block)).is_err() {
+                self.fail(shard);
             }
         }
-        self.dispatch.records += 1;
-        self.staging_open[shard] = true;
-        let batch = &mut self.batches[shard];
-        batch.push(ShardMsg::Access(rec));
-        if batch.len() >= BATCH {
-            self.flush_batch(shard);
-        }
-    }
-
-    fn flush_batch(&mut self, shard: usize) {
-        self.staging_open[shard] = false;
-        if self.batches[shard].is_empty() {
-            return;
-        }
-        let batch = std::mem::replace(&mut self.batches[shard], Vec::with_capacity(BATCH));
-        if self.senders[shard].send(batch).is_err() {
-            // The worker hung up mid-run: join it now, capture the
-            // panic payload, and let the next dispatch fail fast with
-            // the culprit named instead of profiling into the void.
-            let message = match self.handles[shard].take() {
-                Some(handle) => match handle.join() {
-                    Err(payload) => panic_message(payload.as_ref()),
-                    Ok(_) => "worker exited before its channel closed".to_owned(),
-                },
-                None => "worker already joined".to_owned(),
-            };
-            if self.poisoned.is_none() {
-                self.poisoned = Some((shard, message));
-            }
-            return;
-        }
+        self.published.push_back(block);
         if self.obs_on {
-            self.sent_batches[shard] += 1;
-            self.sample_depths(shard);
+            self.sent_blocks += 1;
+            self.sample_depths();
         }
     }
 
-    /// Samples the flushed shard's channel depth and the whole
-    /// pipeline's dispatch backlog (batches sent but not yet drained)
-    /// into the timeseries store.
-    fn sample_depths(&self, shard: usize) {
-        let drained = self.received_batches[shard].load(Ordering::Relaxed);
-        let depth = self.sent_batches[shard].saturating_sub(drained);
-        sigil_obs::timeseries::record_gauge(&self.depth_keys[shard], depth as f64);
-        let sent: u64 = self.sent_batches.iter().sum();
-        let received: u64 = self
-            .received_batches
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum();
-        sigil_obs::timeseries::record_gauge(
-            "shard.dispatch_backlog",
-            sent.saturating_sub(received) as f64,
-        );
-        sigil_obs::timeseries::record_counter("shard.batches_sent", 1);
+    /// Worker `shard` hung up before the log ended: join it and fail the
+    /// profile with its panic message instead of profiling into the void.
+    fn fail(&mut self, shard: usize) -> ! {
+        let message = match self.handles.swap_remove(shard).join() {
+            Err(payload) => panic_message(payload.as_ref()),
+            Ok(_) => "worker exited before the log ended".to_owned(),
+        };
+        panic!("shard worker {shard} panicked: {message}");
     }
 
-    /// Broadcasts any calltree contexts created since the last sync, so
-    /// workers can resolve producer functions from local state. All
-    /// pending definitions travel in one `CtxDefs` message per shard
-    /// (sharing one allocation), not one message per context per shard.
+    /// Samples each worker's channel depth and the whole pipeline's
+    /// backlog (blocks published but not yet drained) into the
+    /// timeseries store.
+    fn sample_depths(&self) {
+        let mut backlog = 0;
+        for (key, received) in self.depth_keys.iter().zip(&self.received_blocks) {
+            let depth = self
+                .sent_blocks
+                .saturating_sub(received.load(Ordering::Relaxed));
+            sigil_obs::timeseries::record_gauge(key, depth as f64);
+            backlog += depth;
+        }
+        sigil_obs::timeseries::record_gauge("shard.dispatch_backlog", backlog as f64);
+        sigil_obs::timeseries::record_counter("shard.blocks_sent", 1);
+    }
+
+    /// Logs the functions of any calltree contexts created since the last
+    /// sync, so workers resolve producer and reader functions from local
+    /// state. They travel in the current block, ahead of its records.
     pub(crate) fn sync_ctxs(&mut self, tree: &CallTree) {
         if self.synced_ctxs >= tree.len() {
             return;
         }
-        let defs: Arc<[Option<FunctionId>]> = (self.synced_ctxs..tree.len())
-            .map(|i| {
+        self.block
+            .ctx_defs
+            .extend((self.synced_ctxs..tree.len()).map(|i| {
                 let ctx = ContextId(u32::try_from(i).expect("context count fits u32"));
                 tree.node(ctx).func
-            })
-            .collect();
+            }));
         self.synced_ctxs = tree.len();
-        for shard in 0..self.shards {
-            self.push_ctl(shard, ShardMsg::CtxDefs(Arc::clone(&defs)));
-        }
     }
 
     pub(crate) fn log_call(&mut self, call: CallNumber, ctx: ContextId) {
@@ -727,13 +601,9 @@ impl ShardEngine {
         }
     }
 
-    /// Routes one shadow access. Phase 1 resolves it into chunk runs
-    /// (and any evictions they trigger) against the global-order state;
-    /// phase 2 stages the resolved ops into per-shard batches,
-    /// coalescing where legal; every [`EPOCH_ACCESSES`] accesses all
-    /// staged batches flush so workers drain while dispatch resolves
-    /// ahead.
-    #[allow(clippy::too_many_arguments)] // the flattened AccessRecord fields
+    /// Appends one non-empty shadow access to the log: one record per
+    /// chunk run, each preceded by the evictions its run caused.
+    #[allow(clippy::too_many_arguments)] // the owner and both clocks
     pub(crate) fn dispatch_access(
         &mut self,
         write: bool,
@@ -742,134 +612,75 @@ impl ShardEngine {
         ctx: ContextId,
         call: CallNumber,
         thread: u32,
-        reader_fn: Option<FunctionId>,
         at: Timestamp,
         phase_at: u64,
     ) {
-        if let Some((shard, message)) = self.poisoned.take() {
-            panic!("shard worker {shard} panicked: {message}");
-        }
-        let idx = self.next_idx;
-        self.next_idx += 1;
-        self.dispatch.accesses += 1;
-        self.epoch_accesses += 1;
-        if !write && self.events_on {
-            self.seq.push(SeqOp::Read { idx });
-        }
+        debug_assert!(len > 0, "empty accesses are never dispatched");
         let timer = self.obs_on.then(Instant::now);
-
-        // Phase 1: resolve into chunk runs + eviction mirrors.
-        self.scratch_ops.clear();
-        let mut runs_resolved = 0u32;
-        {
-            let scratch = &mut self.scratch_ops;
-            match self.oracle.as_mut() {
+        if !write && self.events_on {
+            self.seq.push(SeqOp::Read {
+                idx: self.dispatch.accesses,
+            });
+        }
+        self.dispatch.accesses += 1;
+        let clocks = self.clocks_on.then_some((at, phase_at));
+        let kind = if write { WRITE } else { 0 };
+        let mut flags = kind | FIRST;
+        let mut addr = addr;
+        let mut remaining = len;
+        while remaining > 0 {
+            let consumed = match self.oracle.as_mut() {
                 Some(oracle) => {
-                    let mut addr = addr;
-                    let mut remaining = len;
-                    while remaining > 0 {
-                        let (_, consumed) = oracle.run_mut(addr, remaining);
-                        // Mirror this run's evictions *before* the run
-                        // itself: per victim chunk the eviction follows
-                        // all its prior accesses (dispatch order) and
-                        // precedes any re-creation.
-                        if !oracle.evictions().is_empty() {
-                            scratch.extend(
-                                oracle
-                                    .evictions()
-                                    .iter()
-                                    .map(|&key| ResolvedOp::Evict { key }),
-                            );
-                            oracle.clear_evictions();
-                        }
-                        scratch.push(ResolvedOp::Run {
-                            addr,
-                            len: u32::try_from(consumed).expect("run fits a chunk"),
-                        });
-                        runs_resolved += 1;
-                        addr = addr.wrapping_add(consumed as u64);
-                        remaining -= consumed;
+                    let (_, consumed) = oracle.run_mut(addr, remaining);
+                    // Each victim follows all its chunk's earlier runs and
+                    // precedes any re-creation, as in serial replay.
+                    for &key in oracle.evictions() {
+                        self.block.push(LogRecord::eviction(key), clocks);
                     }
+                    oracle.clear_evictions();
+                    consumed
                 }
                 None => {
-                    // Elided oracle: no evictions are possible, so
-                    // resolution is pure address arithmetic plus the
-                    // counter recurrence.
-                    let route = &mut self.route;
-                    let mut addr = addr;
-                    let mut remaining = len;
-                    while remaining > 0 {
-                        let (key, consumed) = chunk_run(addr, remaining);
-                        route.record_run(key, consumed as u64);
-                        scratch.push(ResolvedOp::Run {
-                            addr,
-                            len: u32::try_from(consumed).expect("run fits a chunk"),
-                        });
-                        runs_resolved += 1;
-                        addr = addr.wrapping_add(consumed as u64);
-                        remaining -= consumed;
-                    }
+                    let (key, consumed) = chunk_run(addr, remaining);
+                    self.route.record_run(key, consumed as u64);
+                    consumed
                 }
+            };
+            self.block.push(
+                LogRecord {
+                    addr,
+                    call,
+                    ctx,
+                    thread,
+                    len: u16::try_from(consumed).expect("a run fits a chunk"),
+                    flags,
+                },
+                clocks,
+            );
+            self.dispatch.records += 1;
+            if self.block.records.len() >= BLOCK_RECORDS {
+                self.publish();
             }
+            flags = kind;
+            addr = addr.wrapping_add(consumed as u64);
+            remaining -= consumed;
         }
-        let resolve_done = timer.map(|_| Instant::now());
-
-        // Phase 2: stage (coalescing) and mirror evictions in order.
-        let mut part = 0u32;
-        for i in 0..self.scratch_ops.len() {
-            match self.scratch_ops[i] {
-                ResolvedOp::Evict { key } => {
-                    self.push_ctl(self.shard_of(key), ShardMsg::Evict { key });
-                }
-                ResolvedOp::Run { addr, len } => {
-                    let whole_read = !write && runs_resolved == 1;
-                    let shard = self.shard_of(chunk_key(addr));
-                    self.stage_access(
-                        shard,
-                        AccessRecord {
-                            idx,
-                            part,
-                            write,
-                            addr,
-                            len,
-                            count: 1,
-                            sub_len: if whole_read { len } else { 0 },
-                            ctx,
-                            call,
-                            thread,
-                            reader_fn,
-                            at,
-                            phase_at,
-                        },
-                    );
-                    part += 1;
-                }
-            }
-        }
-        if self.epoch_accesses >= EPOCH_ACCESSES {
-            self.epoch_accesses = 0;
-            for shard in 0..self.shards {
-                self.flush_batch(shard);
-            }
-        }
-        if let (Some(t0), Some(t1)) = (timer, resolve_done) {
-            self.dispatch.resolve_ns +=
-                u64::try_from(t1.duration_since(t0).as_nanos()).unwrap_or(u64::MAX);
+        if let Some(t0) = timer {
             self.dispatch.busy_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
         }
     }
 
     /// The serial-equivalent shadow counters.
     ///
-    /// With a dispatch oracle the chunk and access counters come straight
-    /// from it and are exact at any time. With the oracle elided the
-    /// access counters ([`RouteStats`]) are exact, and the resident
-    /// chunks are the workers'. Either way the footprint is priced as the
-    /// serial granule table holds it, from the resident chunks and the
-    /// workers' split-granule counts. Worker counts are per-batch
-    /// snapshots — lagging in-flight batches mid-run, exact once
+    /// With an oracle the chunk and access counters come straight from it
+    /// and are exact at any time. With the oracle elided the access
+    /// counters ([`RouteStats`]) are exact, and the resident chunks are
+    /// the workers'. Either way the footprint is priced as the serial
+    /// granule table holds it, from the resident chunks and the workers'
+    /// split-granule counts. Worker counts are per-block snapshots —
+    /// lagging in-flight blocks mid-run, exact once
     /// [`ShardEngine::finish`] has joined the workers (each stores its
-    /// final counts after its last batch).
+    /// final counts after its last block).
     pub(crate) fn memory_stats(&self) -> MemoryStats {
         let sum = |counts: &[Arc<AtomicU64>]| -> u64 {
             counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
@@ -889,29 +700,20 @@ impl ShardEngine {
         (self.price)(chunks, sum(&self.split_granules))
     }
 
-    /// Flushes outstanding batches, closes the channels, joins the
-    /// workers, and composes the final serial-equivalent memory stats.
+    /// Publishes the last block, closes the channels, joins the workers,
+    /// and composes the final serial-equivalent memory stats.
     pub(crate) fn finish(mut self) -> ShardFinish {
-        for shard in 0..self.shards {
-            self.flush_batch(shard);
-        }
-        if let Some((shard, message)) = self.poisoned.take() {
-            panic!("shard worker {shard} panicked: {message}");
-        }
+        self.publish();
         self.senders.clear();
-        let results: Vec<ShardResult> = self
-            .handles
-            .iter_mut()
+        let results: Vec<ShardResult> = std::mem::take(&mut self.handles)
+            .into_iter()
             .enumerate()
-            .map(|(shard, slot)| {
-                let handle = slot.take().expect("worker joined twice");
-                match handle.join() {
-                    Ok(result) => result,
-                    Err(payload) => panic!(
-                        "shard worker {shard} panicked: {}",
-                        panic_message(payload.as_ref())
-                    ),
-                }
+            .map(|(shard, handle)| match handle.join() {
+                Ok(result) => result,
+                Err(payload) => panic!(
+                    "shard worker {shard} panicked: {}",
+                    panic_message(payload.as_ref())
+                ),
             })
             .collect();
         ShardFinish {
@@ -928,17 +730,18 @@ impl ShardEngine {
 /// Per-worker launch parameters.
 struct WorkerSpec {
     shard: usize,
+    shards: usize,
     events_on: bool,
     /// Phase-profile bucket width; `Some` turns on transfer bucketing.
     phase_bucket_ops: Option<u64>,
-    /// Telemetry: batches this worker has drained, shared with the
-    /// dispatcher's channel-depth sampling.
-    batches_received: Arc<AtomicU64>,
+    /// Telemetry: blocks this worker has drained, shared with the
+    /// engine's channel-depth sampling.
+    blocks_received: Arc<AtomicU64>,
     /// Resident-chunk count of this worker's table, refreshed after
-    /// every batch for the dispatcher's elided-mode residency reads.
+    /// every block for the engine's elided-mode residency reads.
     resident_chunks: Arc<AtomicU64>,
     /// Split-granule count of this worker's table, refreshed after every
-    /// batch for the dispatcher's footprint pricing.
+    /// block for the engine's footprint pricing.
     split_granules: Arc<AtomicU64>,
 }
 
@@ -946,9 +749,9 @@ struct WorkerSpec {
 struct WorkerState<R> {
     table: GranuleTable<R>,
     tally: Tally,
-    /// Context → function map, filled by `CtxDefs` broadcasts.
+    /// Context → function map, extended from each block's `ctx_defs`.
     ctx_funcs: Vec<Option<FunctionId>>,
-    /// Per-sub-access transfer scratch.
+    /// Per-run transfer scratch.
     scratch: Transfers,
     transfers: TransferMap,
     phases: Option<PhaseBuilder>,
@@ -956,7 +759,7 @@ struct WorkerState<R> {
 }
 
 /// A shard worker's entry point.
-type WorkerFn = fn(WorkerSpec, Receiver<Vec<ShardMsg>>) -> ShardResult;
+type WorkerFn = fn(WorkerSpec, Receiver<Arc<Block>>) -> ShardResult;
 
 /// Prices resident chunks and split granules ([`GranuleTable::price`]).
 type PriceFn = fn(MemoryStats, u64) -> MemoryStats;
@@ -967,8 +770,9 @@ fn slot_worker<R: ReuseSlot>() -> (WorkerFn, PriceFn) {
     (shard_worker::<R>, GranuleTable::<R>::price)
 }
 
-fn shard_worker<R: ReuseSlot>(spec: WorkerSpec, rx: Receiver<Vec<ShardMsg>>) -> ShardResult {
+fn shard_worker<R: ReuseSlot>(spec: WorkerSpec, rx: Receiver<Arc<Block>>) -> ShardResult {
     let _span = sigil_obs::span_with(|| format!("shard-worker-{}", spec.shard));
+    let (shard, shards) = (spec.shard as u64, spec.shards as u64);
     let mut state = WorkerState::<R> {
         table: GranuleTable::new(),
         tally: Tally::for_slot::<R>(),
@@ -978,25 +782,40 @@ fn shard_worker<R: ReuseSlot>(spec: WorkerSpec, rx: Receiver<Vec<ShardMsg>>) -> 
         phases: spec.phase_bucket_ops.map(PhaseBuilder::new),
         evictions_applied: 0,
     };
+    // Accesses begun so far and the current run's part within its
+    // access, counted over every record, the skipped ones included.
+    let mut accesses = 0u64;
+    let mut part = 0u32;
     let mut busy_ns = 0u64;
     let mut idle_ns = 0u64;
     loop {
         let wait = Instant::now();
-        let Ok(batch) = rx.recv() else { break };
+        let Ok(block) = rx.recv() else { break };
         idle_ns += u64::try_from(wait.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        spec.batches_received.fetch_add(1, Ordering::Relaxed);
+        spec.blocks_received.fetch_add(1, Ordering::Relaxed);
         let work = Instant::now();
-        for msg in batch {
-            match msg {
-                ShardMsg::CtxDefs(defs) => state.ctx_funcs.extend(defs.iter().copied()),
-                ShardMsg::Evict { key } => {
-                    let evicted = state.table.evict_key(key);
-                    debug_assert!(evicted, "mirrored victim must be resident");
+        state.ctx_funcs.extend_from_slice(&block.ctx_defs);
+        for (i, rec) in block.records.iter().enumerate() {
+            if rec.flags & EVICT != 0 {
+                if rec.addr % shards == shard {
+                    let evicted = state.table.evict_key(rec.addr);
+                    debug_assert!(evicted, "a logged victim is resident");
                     state.evictions_applied += u64::from(evicted);
                 }
-                ShardMsg::Access(rec) => apply_access(&mut state, rec),
+                continue;
+            }
+            if rec.flags & FIRST != 0 {
+                accesses += 1;
+                part = 0;
+            } else {
+                part += 1;
+            }
+            if chunk_key(rec.addr) % shards == shard {
+                let clocks = block.clocks.get(i).copied().unwrap_or_default();
+                apply_run(&mut state, rec, accesses - 1, part, clocks);
             }
         }
+        drop(block);
         spec.resident_chunks
             .store(state.table.chunk_count() as u64, Ordering::Relaxed);
         spec.split_granules
@@ -1015,11 +834,15 @@ fn shard_worker<R: ReuseSlot>(spec: WorkerSpec, rx: Receiver<Vec<ShardMsg>>) -> 
     }
 }
 
-/// Replays one record through the Table-I kernel. A write train replays
-/// as one run — every byte sees the same owner, so sub-access boundaries
-/// are unobservable. A read train splits back into its sub-accesses,
-/// each with its own index, timestamp and phase stamp.
-fn apply_access<R: ReuseSlot>(state: &mut WorkerState<R>, rec: AccessRecord) {
+/// Replays one owned run — part `part` of access `idx` — through the
+/// Table-I kernel, exactly as serial replay classifies those bytes.
+fn apply_run<R: ReuseSlot>(
+    state: &mut WorkerState<R>,
+    rec: &LogRecord,
+    idx: u64,
+    part: u32,
+    (at, phase_at): (Timestamp, u64),
+) {
     let WorkerState {
         table,
         tally,
@@ -1030,51 +853,38 @@ fn apply_access<R: ReuseSlot>(state: &mut WorkerState<R>, rec: AccessRecord) {
         ..
     } = state;
     let owner = Owner::new(rec.ctx.0, rec.call, rec.thread);
-    let len = rec.len as usize;
+    let len = usize::from(rec.len);
     let mut run = table
         .run_mut(rec.addr, len)
         .expect("records are never empty");
     debug_assert_eq!(run.len(), len, "records never straddle chunks");
-    if rec.write {
+    if rec.flags & WRITE != 0 {
         run.cells_mut(0, len, |cells, weight| tally.write(cells, weight, owner));
         return;
     }
-    // Strided trains carry `count` whole accesses of `sub_len` bytes
-    // each; everything else (plain runs, straddle parts, free-mode
-    // trains) replays as one pass — free-mode records consume none of
-    // the per-access metadata reconstructed here.
-    let sub_len = if rec.count > 1 && rec.sub_len > 0 {
-        rec.sub_len as usize
-    } else {
-        len
+    let reader = Reader {
+        owner,
+        func: ctx_funcs[rec.ctx.index()],
+        at,
     };
-    for (k, start) in (0u64..).zip((0..len).step_by(sub_len)) {
-        let reader = Reader {
-            owner,
-            func: rec.reader_fn,
-            at: rec.at.advance(k),
-        };
-        scratch.clear();
-        let mut read = tally.read(reader, |ctx| ctx_funcs[ctx.index()], scratch);
-        run.cells_mut(start, sub_len.min(len - start), |cells, weight| {
-            read.cells(cells, weight);
-        });
-        read.finish();
-        if !scratch.calls.is_empty() {
-            transfers
-                .entry(rec.idx + k)
-                .or_default()
-                .push((rec.part, std::mem::take(&mut scratch.calls)));
-        }
-        if let Some(builder) = phases.as_mut() {
-            for &(producer_ctx, bytes) in &scratch.ctxs {
-                builder.record_transfer(producer_ctx, rec.ctx, rec.phase_at + k, bytes);
-            }
+    scratch.clear();
+    let mut read = tally.read(reader, |ctx| ctx_funcs[ctx.index()], scratch);
+    run.cells_mut(0, len, |cells, weight| read.cells(cells, weight));
+    read.finish();
+    if !scratch.calls.is_empty() {
+        transfers
+            .entry(idx)
+            .or_default()
+            .push((part, std::mem::take(&mut scratch.calls)));
+    }
+    if let Some(builder) = phases.as_mut() {
+        for &(producer_ctx, bytes) in &scratch.ctxs {
+            builder.record_transfer(producer_ctx, rec.ctx, phase_at, bytes);
         }
     }
 }
 
-/// Replays the dispatcher's [`SeqOp`] log against simulated per-thread
+/// Replays the profiler thread's [`SeqOp`] log against simulated per-thread
 /// frame stacks, splicing worker transfer segments back in access
 /// order. Mirrors the serial emitter exactly: `push_compute` drops
 /// zero-op fragments, `push_transfer` coalesces adjacent same-pair
@@ -1251,122 +1061,6 @@ mod tests {
         assert_eq!(transfer_bytes, vec![16], "parts coalesce in byte order");
     }
 
-    fn rec(write: bool, idx: u64, addr: Addr, len: u32, whole_read: bool) -> AccessRecord {
-        AccessRecord {
-            idx,
-            part: 0,
-            write,
-            addr,
-            len,
-            count: 1,
-            sub_len: if !write && whole_read { len } else { 0 },
-            ctx: ContextId(3),
-            call: CallNumber::from_raw(7),
-            thread: 0,
-            reader_fn: if write {
-                None
-            } else {
-                Some(FunctionId::from_raw(2))
-            },
-            at: Timestamp::from_raw(100 + idx),
-            phase_at: 200 + idx,
-        }
-    }
-
-    #[test]
-    fn writes_coalesce_in_both_modes_when_contiguous_and_same_owner() {
-        let prev = rec(true, 0, 0x1000, 16, false);
-        let next = rec(true, 1, 0x1010, 16, false);
-        assert!(can_coalesce(ReadCoalesce::Free, &prev, &next));
-        assert!(can_coalesce(ReadCoalesce::Strided, &prev, &next));
-
-        let gap = rec(true, 1, 0x1018, 16, false);
-        assert!(!can_coalesce(ReadCoalesce::Free, &prev, &gap), "gap");
-        let mut other_call = next;
-        other_call.call = CallNumber::from_raw(8);
-        assert!(
-            !can_coalesce(ReadCoalesce::Free, &prev, &other_call),
-            "owner changed"
-        );
-        let mut other_thread = next;
-        other_thread.thread = 1;
-        assert!(
-            !can_coalesce(ReadCoalesce::Free, &prev, &other_thread),
-            "thread is part of the owner identity"
-        );
-        let read = rec(false, 1, 0x1010, 16, true);
-        assert!(
-            !can_coalesce(ReadCoalesce::Free, &prev, &read),
-            "direction changed"
-        );
-    }
-
-    #[test]
-    fn strided_reads_require_the_exact_stride() {
-        let prev = rec(false, 0, 0x1000, 16, true);
-        let good = rec(false, 1, 0x1010, 16, true);
-        assert!(can_coalesce(ReadCoalesce::Strided, &prev, &good));
-
-        let mut wrong_len = good;
-        wrong_len.len = 8;
-        wrong_len.sub_len = 8;
-        wrong_len.addr = 0x1010;
-        assert!(
-            !can_coalesce(ReadCoalesce::Strided, &prev, &wrong_len),
-            "stride length changed"
-        );
-
-        let mut straddle_part = good;
-        straddle_part.sub_len = 0;
-        assert!(
-            !can_coalesce(ReadCoalesce::Strided, &prev, &straddle_part),
-            "straddle parts never merge in strided mode"
-        );
-        assert!(
-            can_coalesce(ReadCoalesce::Free, &prev, &straddle_part),
-            "but do in free mode"
-        );
-
-        let mut idx_gap = good;
-        idx_gap.idx = 2;
-        assert!(
-            !can_coalesce(ReadCoalesce::Strided, &prev, &idx_gap),
-            "an intervening access broke the index stride"
-        );
-        let mut time_gap = good;
-        time_gap.at = Timestamp::from_raw(102);
-        assert!(
-            !can_coalesce(ReadCoalesce::Strided, &prev, &time_gap),
-            "op clock advanced between the accesses"
-        );
-        let mut phase_gap = good;
-        phase_gap.phase_at = 202;
-        assert!(
-            !can_coalesce(ReadCoalesce::Strided, &prev, &phase_gap),
-            "phase clock advanced between the accesses"
-        );
-    }
-
-    #[test]
-    fn coalesced_train_extends_by_stride() {
-        // After merging, the train's count/len admit exactly the next
-        // stride element — the induction `can_coalesce` relies on.
-        let mut train = rec(false, 0, 0x1000, 16, true);
-        for k in 1..8u64 {
-            let next = rec(false, k, 0x1000 + k * 16, 16, true);
-            assert!(can_coalesce(ReadCoalesce::Strided, &train, &next));
-            train.len += next.len;
-            train.count += 1;
-        }
-        assert_eq!(train.count, 8);
-        assert_eq!(train.len, 128);
-        let off_stride = rec(false, 9, 0x1000 + 8 * 16, 16, true);
-        assert!(
-            !can_coalesce(ReadCoalesce::Strided, &train, &off_stride),
-            "skipped index 8"
-        );
-    }
-
     #[test]
     fn route_stats_mirror_an_unbounded_table() {
         // The elided-oracle recurrence must match a real unbounded
@@ -1408,5 +1102,19 @@ mod tests {
         assert!(ShardEngine::new(&unbounded).oracle_elided());
         let limited = SigilConfig::default().with_shards(2).with_shadow_limit(4);
         assert!(!ShardEngine::new(&limited).oracle_elided());
+    }
+
+    #[test]
+    #[should_panic(expected = "shard worker")]
+    fn a_dead_worker_fails_the_profile_and_names_its_shard() {
+        // Context 6 was never synced, so the worker owning the read's
+        // chunk indexes an empty context map and dies; `finish` must
+        // report it instead of hanging or returning a profile.
+        let mut engine = ShardEngine::new(&SigilConfig::default().with_shards(2));
+        let at = Timestamp::default();
+        let call = CallNumber::from_raw(1);
+        engine.dispatch_access(true, 0x1000, 8, ContextId(5), call, 0, at, 0);
+        engine.dispatch_access(false, 0x1000, 8, ContextId(6), call.next(), 0, at, 0);
+        drop(engine.finish());
     }
 }

@@ -254,7 +254,7 @@ fn replay(steps: &[Step], config: SigilConfig) -> String {
 }
 
 /// `None` (unbounded — the oracle-elided path) or a tiny chunk limit
-/// (the dispatch-oracle path with mid-access evictions).
+/// (the residency-oracle path with mid-access evictions).
 fn arb_limit() -> impl Strategy<Value = Option<usize>> {
     (0u8..2, 1usize..4).prop_map(|(some, limit)| (some == 1).then_some(limit))
 }
@@ -266,9 +266,8 @@ proptest! {
     /// random traces, across shard counts, unbounded and tiny shadow
     /// limits, and both eviction policies. The addresses straddle chunk
     /// boundaries. With `per_access_metadata` (reuse, events and phases
-    /// on) reads coalesce only in strided trains that workers must
-    /// split back losslessly; without it they coalesce freely, straddle
-    /// parts and repeated reads included.
+    /// on) the access log carries each record's clocks and workers key
+    /// transfers by access index and part; without it, neither.
     #[test]
     fn sharded_profiler_matches_serial(
         steps in proptest::collection::vec(arb_step(), 0..60),

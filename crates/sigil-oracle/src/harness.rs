@@ -111,11 +111,10 @@ pub const SHARD_AXIS: [usize; 4] = [1, 2, 4, 8];
 /// eviction policy, so chunk-eviction paths are differentially covered —
 /// each crossed with [`SHARD_AXIS`] so sharded replay is held to the
 /// same reports as serial. Every sharded shard count also replays the
-/// plain default configuration (what `sigil profile --shards N` runs):
-/// with no per-access metadata to reconstruct, its reads take the free
-/// coalescing path. `limit_override` pins the constrained limit and
-/// `shards_override` pins the shard count (used by CI's seed × limit ×
-/// shards matrix).
+/// plain default configuration (what `sigil profile --shards N` runs),
+/// whose access log carries no clocks. `limit_override` pins the
+/// constrained limit and `shards_override` pins the shard count (used by
+/// CI's seed × limit × shards matrix).
 pub fn differential_configs(
     seed: u64,
     limit_override: Option<usize>,

@@ -2,7 +2,7 @@
 //! ingest queues with credit-based backpressure, and live queries.
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -91,6 +91,13 @@ impl Conn {
         match self {
             Conn::Tcp(s) => s.set_read_timeout(timeout),
             Conn::Unix(s) => s.set_read_timeout(timeout),
+        }
+    }
+
+    fn shutdown_write(&self) -> io::Result<()> {
+        match self {
+            Conn::Tcp(s) => s.shutdown(Shutdown::Write),
+            Conn::Unix(s) => s.shutdown(Shutdown::Write),
         }
     }
 }
@@ -301,6 +308,9 @@ fn send_error(writer: &Mutex<Conn>, offset: u64, message: String) {
     let _ = send_frame(writer, &frame);
 }
 
+/// Input a connection closing after an ERROR still discards, at most.
+const DRAIN_CAP_BYTES: usize = 64 << 20;
+
 /// First frame decides: HELLO opens a session on this connection,
 /// SHUTDOWN drains and stops the server.
 fn handle_connection(mut conn: Conn, shared: Arc<Shared>) {
@@ -310,62 +320,81 @@ fn handle_connection(mut conn: Conn, shared: Arc<Shared>) {
         Ok(frame) => frame,
         Err(_) => return, // wake-up probe or dead client; nothing to answer
     };
-    match first.kind {
-        FrameKind::Shutdown => handle_shutdown(conn, &shared),
-        FrameKind::Hello => {
-            let writer = match conn.try_clone() {
-                Ok(clone) => Arc::new(Mutex::new(clone)),
-                Err(_) => return,
-            };
-            let spec: SessionSpec = match from_json_payload(&first.payload, 0, "HELLO") {
-                Ok(spec) => spec,
-                Err(e) => {
-                    send_error(&writer, 0, e.to_string());
-                    return;
-                }
-            };
-            if spec.version != WIRE_VERSION {
-                send_error(
-                    &writer,
-                    0,
-                    format!(
-                        "wire version mismatch: client speaks {}, server speaks {WIRE_VERSION}",
-                        spec.version
-                    ),
-                );
-                return;
-            }
-            if spec.mode != "trace" && spec.mode != "events" {
-                send_error(
-                    &writer,
-                    0,
-                    format!(
-                        "unknown session mode {:?} (expected \"trace\" or \"events\")",
-                        spec.mode
-                    ),
-                );
-                return;
-            }
-            // Out-of-range settings would panic the profiler after
-            // WELCOME, leaking the session: refuse them here instead.
-            if let Err(message) = spec.config().validate() {
-                send_error(&writer, 0, format!("bad HELLO: {message}"));
-                return;
-            }
+    if first.kind == FrameKind::Shutdown {
+        return handle_shutdown(conn, &shared);
+    }
+    let writer = match conn.try_clone() {
+        Ok(clone) => Arc::new(Mutex::new(clone)),
+        Err(_) => return,
+    };
+    let failed = match check_hello(&first) {
+        Err(message) => {
+            send_error(&writer, 0, message);
+            true
+        }
+        Ok(spec) => {
             let session = shared.session_started();
-            let failed = run_session(conn, writer, spec, session, &shared, offset);
-            shared.session_ended(failed.is_err());
-            if let Err(message) = failed {
+            let result = run_session(&mut conn, writer, spec, session, &shared, offset);
+            shared.session_ended(result.is_err());
+            if let Err(message) = &result {
                 obs_info!("serve: session {session} failed: {message}");
             }
+            result.is_err()
         }
-        other => {
-            let writer = Arc::new(Mutex::new(conn));
-            send_error(
-                &writer,
-                0,
-                format!("expected HELLO or SHUTDOWN as the first frame, got {other:?}"),
-            );
+    };
+    if failed {
+        close_after_error(conn, shared.config.idle_timeout);
+    }
+}
+
+/// The session a first frame asks for, or why it is refused.
+fn check_hello(first: &Frame) -> Result<SessionSpec, String> {
+    if first.kind != FrameKind::Hello {
+        return Err(format!(
+            "expected HELLO or SHUTDOWN as the first frame, got {:?}",
+            first.kind
+        ));
+    }
+    let spec: SessionSpec =
+        from_json_payload(&first.payload, 0, "HELLO").map_err(|e| e.to_string())?;
+    if spec.version != WIRE_VERSION {
+        return Err(format!(
+            "wire version mismatch: client speaks {}, server speaks {WIRE_VERSION}",
+            spec.version
+        ));
+    }
+    if spec.mode != "trace" && spec.mode != "events" {
+        return Err(format!(
+            "unknown session mode {:?} (expected \"trace\" or \"events\")",
+            spec.mode
+        ));
+    }
+    // Out-of-range settings would panic the profiler after WELCOME,
+    // leaking the session: refuse them here instead.
+    spec.config()
+        .validate()
+        .map_err(|message| format!("bad HELLO: {message}"))?;
+    Ok(spec)
+}
+
+/// Closes a connection after an ERROR frame. Closing a socket whose
+/// input is still unread sends a reset, which can discard the ERROR
+/// before the client reads it. So shut the write half, discard what the
+/// client still sends until it closes (at most [`DRAIN_CAP_BYTES`], for
+/// at most `idle_timeout`), then close.
+fn close_after_error(mut conn: Conn, idle_timeout: Duration) {
+    let _ = conn.shutdown_write();
+    let deadline = Instant::now() + idle_timeout;
+    let mut buf = vec![0u8; 64 << 10];
+    let mut drained = 0;
+    while drained < DRAIN_CAP_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || conn.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match conn.read(&mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
         }
     }
 }
@@ -435,7 +464,7 @@ enum SessionState {
 /// Runs one session to completion. Returns `Err(reason)` if the session
 /// failed (protocol error, decode error, disconnect, timeout).
 fn run_session(
-    mut conn: Conn,
+    conn: &mut Conn,
     writer: Arc<Mutex<Conn>>,
     spec: SessionSpec,
     session: u64,
@@ -502,7 +531,7 @@ fn run_session(
         .map_err(|e| format!("spawning session worker: {e}"))?;
 
     let read_result = session_read_loop(
-        &mut conn,
+        conn,
         &writer,
         &sender,
         &counters,

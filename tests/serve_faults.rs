@@ -424,26 +424,14 @@ fn half_written_frame_times_out_with_located_error() {
     drop(server);
 }
 
-/// A client that ignores the credit window is cut off with a located
-/// credit-violation error — the bounded ingest queue never grows to
-/// absorb a flood.
-#[test]
-fn credit_violation_is_rejected() {
-    let server = Server::bind(
-        Listen::parse("127.0.0.1:0"),
-        ServeConfig {
-            credits: 2,
-            ..ServeConfig::default()
-        },
-    )
-    .expect("bind fault server");
-    let address = server.address();
-
-    let mut stream = TcpStream::connect(&address).expect("raw connect");
-    stream
-        .write_all(&hello_frame(&SessionSpec::trace("flooder", serve_config())).encode())
-        .expect("send hello");
-    // Fire far more chunks than the window without ever reading CREDIT.
+/// Opens a session that ignores its credit window of 2: it fires far
+/// more chunks than the window without ever reading CREDIT, then reads
+/// the daemon's answer. Returns the ERROR with the HELLO and chunk frame
+/// lengths, which locate it.
+fn flood_until_error(address: &str) -> (WireError, u64, u64) {
+    let mut stream = TcpStream::connect(address).expect("raw connect");
+    let hello = hello_frame(&SessionSpec::trace("flooder", serve_config())).encode();
+    stream.write_all(&hello).expect("send hello");
     // Each chunk carries thousands of valid events so the worker lags
     // behind the reader and the outstanding count genuinely grows.
     let events: Vec<TraceRecord> = (0..5_000)
@@ -465,17 +453,70 @@ fn credit_violation_is_rejected() {
             break; // server already cut us off mid-flood
         }
     }
-    let error = read_error(&stream);
+    (read_error(&stream), hello.len() as u64, chunk.len() as u64)
+}
+
+/// Asserts `error` is the credit violation, located at the end of one of
+/// the flood's chunk frames.
+fn assert_credit_violation(error: &WireError, hello_len: u64, chunk_len: u64) {
     assert!(
         error.message.contains("credit violation"),
         "unexpected flood error: {}",
         error.message
     );
-    drop(stream);
+    let chunks = error.offset.checked_sub(hello_len).map(|at| at % chunk_len);
+    assert_eq!(
+        chunks,
+        Some(0),
+        "error at {} is not a chunk frame's end",
+        error.offset
+    );
+}
+
+fn credit_window_of_two() -> Server {
+    Server::bind(
+        Listen::parse("127.0.0.1:0"),
+        ServeConfig {
+            credits: 2,
+            ..ServeConfig::default()
+        },
+    )
+    .expect("bind fault server")
+}
+
+/// A client that ignores the credit window is cut off with a located
+/// credit-violation error — the bounded ingest queue never grows to
+/// absorb a flood.
+#[test]
+fn credit_violation_is_rejected() {
+    let server = credit_window_of_two();
+    let address = server.address();
+    let (error, hello_len, chunk_len) = flood_until_error(&address);
+    assert_credit_violation(&error, hello_len, chunk_len);
 
     assert_session_conforms(
         &address,
         "after-flood",
+        &record_program(&GenProgram::generate(6)),
+    );
+    drop(server);
+}
+
+/// The daemon answers a flood and closes while the client is still
+/// writing. Its ERROR must reach the client every time: closing with the
+/// client's input unread would reset the connection and could discard
+/// the frame.
+#[test]
+fn credit_violation_error_reaches_a_client_still_writing() {
+    let server = credit_window_of_two();
+    let address = server.address();
+    for _ in 0..25 {
+        let (error, hello_len, chunk_len) = flood_until_error(&address);
+        assert_credit_violation(&error, hello_len, chunk_len);
+    }
+    assert_session_conforms(
+        &address,
+        "after-floods",
         &record_program(&GenProgram::generate(6)),
     );
     drop(server);
