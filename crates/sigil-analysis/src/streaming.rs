@@ -551,7 +551,7 @@ pub fn event_cdfg_from_bin<R: Read>(source: R) -> Result<EventCdfg, StreamError>
 /// * a `Transfer` is tallied at the current clock (its consuming read
 ///   already retired inside the preceding compute fragment).
 ///
-/// Because the profiler only ticks for work the event sequencer also
+/// Because the profiler only ticks for work the event file also
 /// sees, the recovered clock — and therefore every bucket index — is
 /// identical to the in-memory profiler's, making the fold's output
 /// byte-identical to `Profile::phases` for the same bucket width. State

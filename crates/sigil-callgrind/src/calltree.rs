@@ -192,15 +192,6 @@ impl CallTree {
         &mut self.nodes[cur.index()].costs
     }
 
-    /// Mutable cost access for an arbitrary context.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ctx` is out of range.
-    pub fn costs_mut(&mut self, ctx: ContextId) -> &mut CostVec {
-        &mut self.nodes[ctx.index()].costs
-    }
-
     /// Number of contexts, including the root.
     pub fn len(&self) -> usize {
         self.nodes.len()

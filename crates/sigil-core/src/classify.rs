@@ -13,9 +13,10 @@
 //! 32-byte `ShadowObject`s with no reuse step compiled in, reuse mode on
 //! 56-byte `ShadowObject<ReuseInfo>`s.
 //! What is globally ordered — event-file and phase-profile transfers —
-//! goes back to the caller in [`Transfers`]: serial replay sequences it
-//! at the phase clock as it goes, a shard worker keys it by access index
-//! for [`crate::shard::sequence_events`].
+//! goes back to the caller in [`Transfers`]: serial replay hands it to
+//! its timeline and phase builder as it goes, a shard worker keys it by
+//! `(access, part)` for the journal's replay
+//! ([`crate::timeline::Timeline::take_events`]).
 
 use std::collections::HashMap;
 

@@ -146,13 +146,6 @@ impl SigilConfig {
         }
         Ok(())
     }
-
-    /// Overrides the embedded Callgrind configuration.
-    #[must_use]
-    pub fn with_callgrind(mut self, callgrind: CallgrindConfig) -> Self {
-        self.callgrind = callgrind;
-        self
-    }
 }
 
 #[cfg(test)]

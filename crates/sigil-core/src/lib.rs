@@ -67,6 +67,7 @@ pub mod reuse;
 pub mod shard;
 pub mod stats;
 pub mod sweep;
+mod timeline;
 
 pub use config::SigilConfig;
 pub use events_bin::{

@@ -27,8 +27,10 @@
 //!   *after* the access's own tick, matching the event file where the
 //!   pending-compute flush precedes the transfer records.
 //!
-//! Ops retired with no open frame are dropped by the event sequencer,
-//! so they do not tick the phase clock either.
+//! Ops retired with no open frame are dropped from the event file, so
+//! they do not tick the phase clock either. Replay keeps the clock in its
+//! timeline (`crate::timeline`), beside the frames and the event file's
+//! emission rules, so both tick in the same place.
 //!
 //! # Bucketing
 //!

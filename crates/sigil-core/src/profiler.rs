@@ -1,6 +1,9 @@
-//! The Sigil profiler observer.
-
-use std::collections::HashMap;
+//! The Sigil profiler observer, one for serial and sharded replay.
+//!
+//! Each trace event goes to the embedded Callgrind model, then to the
+//! replay's `Timeline` (frames, phase clock, event file), then to the
+//! shadow memory: a granule table classified inline in serial replay, or
+//! the shard engine's access log ([`crate::shard`]).
 
 use serde::{Deserialize, Serialize};
 use sigil_callgrind::{CallTree, CallgrindProfiler, ContextId};
@@ -11,19 +14,11 @@ use sigil_trace::{
 
 use crate::classify::{Reader, Tally, Transfers};
 use crate::config::SigilConfig;
-use crate::events_out::EventFile;
 use crate::phase::PhaseBuilder;
 use crate::profile::{ContextComm, Profile};
-use crate::shard::{sequence_events, ShardEngine, ShardFragment};
+use crate::shard::{ShardEngine, ShardFragment};
 use crate::stats::CommStats;
-
-#[derive(Debug, Clone, Copy)]
-struct Frame {
-    ctx: ContextId,
-    call: CallNumber,
-    /// Retired ops since this frame's last flushed compute fragment.
-    pending_ops: u64,
-}
+use crate::timeline::{Segment, Timeline};
 
 /// Aggregated line-granularity reuse report (drives Figure 12).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -111,26 +106,17 @@ pub struct SigilProfiler {
     lines: Option<LineShadow>,
     clock: OpClock,
     call_counter: CallNumber,
-    /// The current guest thread's frame stack. Every event but a thread
-    /// switch works on it, so it stays out of `parked`.
-    frames: Vec<Frame>,
-    current_thread: u32,
-    /// The other threads' frame stacks, parked by raw thread id on a
-    /// thread switch.
-    parked: HashMap<u32, Vec<Frame>>,
+    /// Frames, phase clock and event file.
+    timeline: Timeline,
     /// Table-I tallies. In sharded mode only the whole-access byte
     /// counts land here; classification comes back from the workers.
     tally: Tally,
     /// Per-access transfer scratch for serial reads.
     transfers: Transfers,
-    events: Option<EventFile>,
     /// Phase-sliced profile builder (present when phase collection is
     /// on). In sharded mode this dispatch-side builder tallies calls;
     /// transfers come back in the workers' fragments.
     phases: Option<PhaseBuilder>,
-    /// The phase clock: cumulative event-stream-visible retired ops
-    /// (see [`crate::phase`] for the exact tick rules).
-    phase_clock: u64,
     /// Present when `config.shards > 1`: per-byte classification runs on
     /// worker threads and `shadow` stays empty (see [`crate::shard`]).
     engine: Option<ShardEngine>,
@@ -139,7 +125,6 @@ pub struct SigilProfiler {
 impl SigilProfiler {
     /// Creates a profiler with the given configuration.
     pub fn new(config: SigilConfig) -> Self {
-        let sharded = config.shards > 1;
         let shadow = Shadow::new(&config);
         SigilProfiler {
             config,
@@ -149,38 +134,16 @@ impl SigilProfiler {
             lines: config.line_size.map(LineShadow::new),
             clock: OpClock::new(),
             call_counter: CallNumber::ROOT,
-            frames: Vec::with_capacity(64),
-            current_thread: 0,
-            parked: HashMap::new(),
+            timeline: Timeline::new(&config),
             transfers: Transfers::new(config.record_events, config.phase_bucket_ops.is_some()),
-            // Sharded event files are sequenced from the dispatch log at
-            // the end of the run instead of being built incrementally.
-            events: (config.record_events && !sharded).then(EventFile::new),
             phases: config.phase_bucket_ops.map(PhaseBuilder::new),
-            phase_clock: 0,
-            engine: sharded.then(|| ShardEngine::new(&config)),
+            engine: (config.shards > 1).then(|| ShardEngine::new(&config)),
         }
     }
 
     /// The configuration this profiler runs with.
     pub fn config(&self) -> SigilConfig {
         self.config
-    }
-
-    /// Current shadow-memory footprint.
-    ///
-    /// In sharded mode with a shadow limit this reports the
-    /// dispatch-side residency oracle, which replays the exact serial
-    /// run sequence — so the counters equal serial replay's regardless
-    /// of worker scheduling. Unbounded sharded runs elide the oracle:
-    /// the access counters stay exact, while mid-run residency comes
-    /// from the workers' per-block snapshots (it may lag in-flight
-    /// blocks; the finished profile's stats are exact).
-    pub fn memory_stats(&self) -> MemoryStats {
-        self.with_lines(match &self.engine {
-            Some(engine) => engine.memory_stats(),
-            None => self.shadow.stats(),
-        })
     }
 
     /// The shadow footprint, line shadow included.
@@ -202,93 +165,16 @@ impl SigilProfiler {
         self.phases.as_ref().map(|b| b.clone().finish())
     }
 
-    /// Makes `thread` current: parks the outgoing thread's stack and
-    /// takes up the incoming one's.
-    fn switch_to(&mut self, thread: u32) {
-        if thread == self.current_thread {
-            return;
-        }
-        let incoming = self.parked.remove(&thread).unwrap_or_default();
-        let outgoing = std::mem::replace(&mut self.frames, incoming);
-        self.parked.insert(self.current_thread, outgoing);
-        self.current_thread = thread;
-    }
-
-    fn current_frame(&self) -> Frame {
-        self.frames.last().copied().unwrap_or(Frame {
-            ctx: ContextId::ROOT,
-            call: CallNumber::ROOT,
-            pending_ops: 0,
-        })
-    }
-
-    fn flush_pending(&mut self) {
-        if self.events.is_none() {
-            return;
-        }
-        if let Some(frame) = self.frames.last_mut() {
-            let ops = frame.pending_ops;
-            frame.pending_ops = 0;
-            let (call, ctx) = (frame.call, frame.ctx);
-            if let Some(events) = self.events.as_mut() {
-                events.push_compute(call, ctx, ops);
-            }
-        }
-    }
-
     fn handle_enter(&mut self) {
         // `cg` has already entered the new context.
         let ctx = self.cg.current_context();
         self.call_counter = self.call_counter.next();
-        let call = self.call_counter;
-        let parent = self.current_frame();
-        self.flush_pending();
-        if let Some(events) = self.events.as_mut() {
-            events.push_call(parent.call, call, ctx);
-        }
-        if let Some(engine) = self.engine.as_mut() {
-            engine.log_call(call, ctx);
-        }
         if let Some(builder) = self.phases.as_mut() {
             // The call is tallied at the pre-tick clock.
-            builder.record_call(parent.ctx, ctx, self.phase_clock);
+            let (parent, at) = (self.timeline.frame().ctx, self.timeline.phase_clock());
+            builder.record_call(parent, ctx, at);
         }
-        // The Call record itself retires one op and is always visible in
-        // the event stream, so it always ticks the phase clock.
-        self.phase_clock += 1;
-        self.frames.push(Frame {
-            ctx,
-            call,
-            pending_ops: 0,
-        });
-    }
-
-    /// Retires `count` ops into the open frame's pending fragment and
-    /// ticks the phase clock. With no open frame both drop the ops —
-    /// exactly like the event sequencer, so the phase clock stays
-    /// reconstructible from the event stream.
-    fn retire_pending(&mut self, count: u64) {
-        let Some(f) = self.frames.last_mut() else {
-            return;
-        };
-        f.pending_ops += count;
-        self.phase_clock += count;
-    }
-
-    /// Retires ops of an `Op` or `Branch` event.
-    fn retire_ops(&mut self, count: u64) {
-        self.retire_pending(count);
-        if let Some(engine) = self.engine.as_mut() {
-            engine.log_ops(count);
-        }
-    }
-
-    fn handle_leave(&mut self) {
-        self.flush_pending();
-        if let Some(engine) = self.engine.as_mut() {
-            engine.log_return();
-        }
-        self.frames.pop();
+        self.timeline.enter(self.call_counter, ctx);
     }
 
     /// A shadow access. Whole-access work — line shadowing, `bytes_read`
@@ -299,8 +185,9 @@ impl SigilProfiler {
         if access.is_empty() {
             return;
         }
-        let frame = self.current_frame();
-        let owner = Owner::new(frame.ctx.0, frame.call, self.current_thread);
+        let frame = self.timeline.frame();
+        let thread = self.timeline.thread();
+        let owner = Owner::new(frame.ctx.0, frame.call, thread);
         let reader_fn = if write {
             None
         } else {
@@ -309,7 +196,7 @@ impl SigilProfiler {
         if let Some(lines) = self.lines.as_mut() {
             lines.record_access(access, at);
         }
-        self.retire_pending(1);
+        self.timeline.access(write);
         let comm = self.tally.comm_mut(frame.ctx);
         if write {
             comm.bytes_written += u64::from(access.size);
@@ -320,20 +207,15 @@ impl SigilProfiler {
         let tree = self.cg.tree();
         if let Some(engine) = self.engine.as_mut() {
             engine.sync_ctxs(tree);
-            if write {
-                // The write's own op; a read's is the sequencer's `Read`
-                // entry.
-                engine.log_ops(1);
-            }
             engine.dispatch_access(
                 write,
                 access.addr,
                 access.len(),
                 frame.ctx,
                 frame.call,
-                self.current_thread,
+                thread,
                 at,
-                self.phase_clock,
+                self.timeline.phase_clock(),
             );
             return;
         }
@@ -350,39 +232,28 @@ impl SigilProfiler {
         if write {
             return;
         }
-        if !self.transfers.calls.is_empty() {
-            // Flush the consumer's pending ops first so they precede the
-            // transfers; later flushes would push zero-op fragments,
-            // which `push_compute` drops.
-            self.flush_pending();
-            if let Some(events) = self.events.as_mut() {
-                for &(producer_call, bytes) in &self.transfers.calls {
-                    events.push_transfer(producer_call, frame.call, bytes);
-                }
-            }
-        }
+        self.timeline
+            .transfers(self.transfers.calls.iter().copied());
         if let Some(builder) = self.phases.as_mut() {
             // Bucketed at the post-tick clock: the event file flushes the
             // read's own pending op before its transfer records, so the
             // streaming fold sees these exact timestamps.
+            let at = self.timeline.phase_clock();
             for &(producer_ctx, bytes) in &self.transfers.ctxs {
-                builder.record_transfer(producer_ctx, frame.ctx, self.phase_clock, bytes);
+                builder.record_transfer(producer_ctx, frame.ctx, at, bytes);
             }
         }
     }
 
     /// Sharded-mode end of run: join the workers, fold their fragments
-    /// through the commutative merge layer, and sequence the event file
-    /// back into access order.
-    fn finish_sharded(&mut self, engine: ShardEngine) -> (ShardFragment, Option<EventFile>) {
+    /// through the commutative merge layer, and gather their transfer
+    /// segments for the event file.
+    fn finish_sharded(&mut self, engine: ShardEngine) -> (ShardFragment, Vec<Segment>) {
         let shards = engine.shard_count();
-        // Join first: with the oracle elided, the exact residency lives
-        // in the workers' tables and is only authoritative post-join.
         let crate::shard::ShardFinish {
             memory,
             dispatch,
             results,
-            seq,
         } = engine.finish();
 
         // The dispatch thread's fragment: whole-access byte counts, the
@@ -392,7 +263,7 @@ impl SigilProfiler {
             self.phases.take().map(PhaseBuilder::finish),
             self.with_lines(memory),
         );
-        let mut transfers = crate::shard::TransferMap::new();
+        let mut segments = Vec::new();
         let obs = sigil_obs::is_enabled();
         if obs {
             sigil_obs::metrics::set_counter("shadow.shards", shards as u64);
@@ -423,11 +294,9 @@ impl SigilProfiler {
                 busy_total += result.busy_ns;
                 idle_total += result.idle_ns;
             }
-            let (fragment, shard_transfers) = result.into_fragment();
+            let (fragment, shard_segments) = result.into_fragment();
             merged.merge(&fragment);
-            for (idx, parts) in shard_transfers {
-                transfers.entry(idx).or_default().extend(parts);
-            }
+            segments.extend(shard_segments);
         }
         if obs {
             // Add-counters so sweeps accumulate utilization across
@@ -443,11 +312,7 @@ impl SigilProfiler {
                 dispatch.records as f64 / dispatch.accesses.max(1) as f64,
             );
         }
-        let events = self
-            .config
-            .record_events
-            .then(|| sequence_events(seq, &mut transfers));
-        (merged, events)
+        (merged, segments)
     }
 
     /// Consumes the profiler, pairing it with `symbols` into a [`Profile`].
@@ -459,21 +324,20 @@ impl SigilProfiler {
     /// shadow-table hot-path counters as `shadow.*` metrics.
     pub fn into_profile(mut self, symbols: SymbolTable) -> Profile {
         let shadow_span = sigil_obs::span("shadow");
-        let (fragment, events) = match self.engine.take() {
+        let (fragment, segments) = match self.engine.take() {
             Some(engine) => self.finish_sharded(engine),
             None => {
-                let memory = self.memory_stats();
+                let memory = self.with_lines(self.shadow.stats());
                 if let Shadow::Reuse(table) = &self.shadow {
                     self.tally.flush_live_reuse(table);
                 }
                 let phases = self.phases.take().map(PhaseBuilder::finish);
-                (
-                    std::mem::take(&mut self.tally).into_fragment(phases, memory),
-                    self.events.take(),
-                )
+                let tally = std::mem::take(&mut self.tally);
+                (tally.into_fragment(phases, memory), Vec::new())
             }
         };
         fragment.memory.export_metrics("shadow");
+        let events = self.timeline.take_events(segments);
 
         let line_report = self.lines.as_ref().map(|lines| {
             let mut buckets = [0u64; 5];
@@ -555,39 +419,17 @@ impl ExecutionObserver for SigilProfiler {
         self.cg.on_event(event);
         match event {
             RuntimeEvent::Call { .. } | RuntimeEvent::SyscallEnter { .. } => self.handle_enter(),
-            RuntimeEvent::Return | RuntimeEvent::SyscallExit => self.handle_leave(),
-            RuntimeEvent::Op { count, .. } => self.retire_ops(u64::from(count)),
-            RuntimeEvent::Branch { .. } => self.retire_ops(1),
+            RuntimeEvent::Return | RuntimeEvent::SyscallExit => self.timeline.leave(),
+            RuntimeEvent::Op { count, .. } => self.timeline.retire(u64::from(count)),
+            RuntimeEvent::Branch { .. } => self.timeline.retire(1),
             RuntimeEvent::Read { access } => self.handle_access(false, access, at),
             RuntimeEvent::Write { access } => self.handle_access(true, access, at),
-            RuntimeEvent::ThreadSwitch { thread } => {
-                // Close the outgoing thread's open fragment so its ops do
-                // not leak into the other thread's timeline.
-                self.flush_pending();
-                if let Some(engine) = self.engine.as_mut() {
-                    engine.log_switch(thread.as_raw());
-                }
-                self.switch_to(thread.as_raw());
-            }
+            RuntimeEvent::ThreadSwitch { thread } => self.timeline.switch(thread.as_raw()),
         }
     }
 
     fn on_finish(&mut self) {
-        // Sorted so the drain order (and therefore the event file) is
-        // deterministic regardless of HashMap iteration order.
-        let mut threads: Vec<u32> = self.parked.keys().copied().collect();
-        threads.push(self.current_thread);
-        threads.sort_unstable();
-        for thread in threads {
-            self.switch_to(thread);
-            if let Some(engine) = self.engine.as_mut() {
-                engine.log_resume(thread);
-            }
-            while !self.frames.is_empty() {
-                self.handle_leave();
-            }
-        }
-        self.switch_to(0);
+        self.timeline.finish();
     }
 }
 
@@ -1024,8 +866,8 @@ mod tests {
 
     #[test]
     fn sharded_multithread_event_order_is_serial() {
-        // Thread switches and end-of-run frame draining must sequence
-        // identically (on_finish drains in sorted thread order).
+        // Thread switches and end-of-run frame draining must emit
+        // identically (the timeline drains in sorted thread order).
         let scenario = |e: &mut Engine<SigilProfiler>| {
             e.scoped_named("main", |e| {
                 e.write(0x100, 8);

@@ -40,15 +40,15 @@
 //!   the serial [`MemoryStats`] exactly. **Without** a limit there are no
 //!   evictions and residency is no longer a global decision at all: the
 //!   oracle is *elided*, each worker owns the residency of its own chunks
-//!   (disjoint sets whose union is the serial footprint, folded through
-//!   the commutative [`ShardFragment`] merge), and the serial table's
-//!   access counters are reproduced arithmetically by [`RouteStats`].
+//!   (disjoint sets whose union is the serial footprint, summed once the
+//!   workers are joined), and the serial table's access counters are
+//!   reproduced arithmetically by [`RouteStats`].
 //! * **Event order** — the event file is globally ordered. The profiler
-//!   thread keeps a compact [`SeqOp`] log; workers return per-access
-//!   transfer segments; [`sequence_events`] replays the log with
-//!   simulated frame stacks, splicing the segments back in access order
-//!   with the same `push_compute`/`push_transfer` coalescing as the
-//!   serial emitter, so the reconstructed file is byte-identical.
+//!   thread drives the same `crate::timeline::Timeline` as serial
+//!   replay, journaling its steps; each worker returns its reads'
+//!   transfer segments in log order, keyed by `(access, part)`, and the
+//!   journal's replay splices them back in through the serial emitter,
+//!   so the file is byte-identical.
 //!
 //! The profiler thread's cost is observable through the
 //! `dispatch.busy_ns` / `dispatch.records_per_access` metrics.
@@ -60,7 +60,7 @@
 //! the `shard_merge` proptests.
 
 use std::any::Any;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -75,21 +75,16 @@ use sigil_trace::{Addr, CallNumber, FunctionId, Timestamp};
 
 use crate::classify::{Reader, Tally, Transfers};
 use crate::config::SigilConfig;
-use crate::events_out::EventFile;
 use crate::phase::{PhaseBuilder, PhaseProfile};
 use crate::reuse::ContextReuse;
 use crate::stats::{CommEdge, CommStats};
+use crate::timeline::Segment;
 
 /// Log records per published block.
 const BLOCK_RECORDS: usize = 4096;
 /// Blocks in flight per worker before the profiler thread blocks
 /// (backpressure when workers outnumber cores).
 const CHANNEL_DEPTH: usize = 8;
-
-/// Transfer segments produced by one access, keyed by global access
-/// index: `(part, [(producer_call, bytes)])` per chunk run that found
-/// cross-call dependencies.
-pub(crate) type TransferMap = HashMap<u64, Vec<(u32, Vec<(CallNumber, u64)>)>>;
 
 /// [`LogRecord::flags`]: the run writes (a run without it reads).
 const WRITE: u8 = 1;
@@ -156,27 +151,6 @@ impl Block {
     }
 }
 
-/// Globally-ordered event-file operations logged by the profiler thread
-/// (events mode only) and replayed by [`sequence_events`].
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum SeqOp {
-    /// A dynamic call was entered (parent comes from the simulated
-    /// stack).
-    Call { call: CallNumber, ctx: ContextId },
-    /// The current frame returned.
-    Return,
-    /// Flush the current frame's pending ops (thread switch boundary).
-    Flush,
-    /// Make `thread` current (no flush — `on_finish` drains residual
-    /// frames without one, exactly like the serial path).
-    Switch { thread: u32 },
-    /// `count` retired ops charged to the current frame.
-    Ops { count: u64 },
-    /// A read access; its transfer segments (if any) are looked up by
-    /// index.
-    Read { idx: u64 },
-}
-
 /// Arithmetic mirror of an *unbounded* [`ShadowTable`]'s access
 /// counters, maintained by the elided-oracle path.
 ///
@@ -221,13 +195,15 @@ pub(crate) struct DispatchStats {
 /// What one worker hands back at join time.
 pub(crate) struct ShardResult {
     pub(crate) tally: Tally,
-    pub(crate) transfers: TransferMap,
+    /// Its reads' transfer segments, in log order.
+    pub(crate) segments: Vec<Segment>,
     /// Phase-profile transfer buckets for this shard's bytes (phase
     /// collection only).
     pub(crate) phases: Option<PhaseBuilder>,
-    /// The worker table's own counters (telemetry; the engine reads
-    /// residency from the workers' shared chunk counts).
+    /// The worker table's own counters, its resident chunks included.
     pub(crate) stats: MemoryStats,
+    /// Granules split into byte slots in the worker's table.
+    pub(crate) split_granules: u64,
     pub(crate) evictions_applied: u64,
     /// Nanoseconds this worker spent applying blocks (telemetry).
     pub(crate) busy_ns: u64,
@@ -242,7 +218,6 @@ pub(crate) struct ShardFinish {
     pub(crate) memory: MemoryStats,
     pub(crate) dispatch: DispatchStats,
     pub(crate) results: Vec<ShardResult>,
-    pub(crate) seq: Vec<SeqOp>,
 }
 
 /// One shard's (or the profiler thread's) contribution to a profile:
@@ -329,11 +304,11 @@ pub fn merge_fragments(frags: impl IntoIterator<Item = ShardFragment>) -> ShardF
 }
 
 impl ShardResult {
-    pub(crate) fn into_fragment(self) -> (ShardFragment, TransferMap) {
+    pub(crate) fn into_fragment(self) -> (ShardFragment, Vec<Segment>) {
         let phases = self.phases.map(PhaseBuilder::finish);
         (
             self.tally.into_fragment(phases, MemoryStats::default()),
-            self.transfers,
+            self.segments,
         )
     }
 }
@@ -374,15 +349,7 @@ pub(crate) struct ShardEngine {
     handles: Vec<JoinHandle<ShardResult>>,
     /// Contexts whose functions have gone into the log so far.
     synced_ctxs: usize,
-    events_on: bool,
-    seq: Vec<SeqOp>,
     dispatch: DispatchStats,
-    /// Per-worker resident-chunk counts (elided mode) and split-granule
-    /// counts (both modes), refreshed by each worker after every block —
-    /// mid-run residency reads lag in-flight blocks; the post-join stats
-    /// are exact.
-    resident_chunks: Vec<Arc<AtomicU64>>,
-    split_granules: Vec<Arc<AtomicU64>>,
     /// Telemetry (obs-enabled runs only): blocks published, and the
     /// workers' shared drain counters — their difference is the channel
     /// depth sampled into the timeseries at each publish.
@@ -421,8 +388,6 @@ impl ShardEngine {
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
         let mut received_blocks = Vec::with_capacity(shards);
-        let mut resident_chunks = Vec::with_capacity(shards);
-        let mut split_granules = Vec::with_capacity(shards);
         let (worker, price) = if config.reuse_mode {
             slot_worker::<ReuseInfo>()
         } else {
@@ -435,18 +400,12 @@ impl ShardEngine {
             senders.push(tx);
             let received = Arc::new(AtomicU64::new(0));
             received_blocks.push(Arc::clone(&received));
-            let resident = Arc::new(AtomicU64::new(0));
-            resident_chunks.push(Arc::clone(&resident));
-            let splits = Arc::new(AtomicU64::new(0));
-            split_granules.push(Arc::clone(&splits));
             let spec = WorkerSpec {
                 shard,
                 shards,
                 events_on,
                 phase_bucket_ops,
                 blocks_received: received,
-                resident_chunks: resident,
-                split_granules: splits,
             };
             handles.push(
                 std::thread::Builder::new()
@@ -466,11 +425,7 @@ impl ShardEngine {
             senders,
             handles,
             synced_ctxs: 0,
-            events_on,
-            seq: Vec::new(),
             dispatch: DispatchStats::default(),
-            resident_chunks,
-            split_granules,
             obs_on: sigil_obs::is_enabled(),
             sent_blocks: 0,
             received_blocks,
@@ -560,47 +515,6 @@ impl ShardEngine {
         self.synced_ctxs = tree.len();
     }
 
-    pub(crate) fn log_call(&mut self, call: CallNumber, ctx: ContextId) {
-        if self.events_on {
-            self.seq.push(SeqOp::Call { call, ctx });
-        }
-    }
-
-    pub(crate) fn log_return(&mut self) {
-        if self.events_on {
-            self.seq.push(SeqOp::Return);
-        }
-    }
-
-    /// A thread switch during the run: flush, then switch (serial
-    /// `ThreadSwitch` semantics).
-    pub(crate) fn log_switch(&mut self, thread: u32) {
-        if self.events_on {
-            self.seq.push(SeqOp::Flush);
-            self.seq.push(SeqOp::Switch { thread });
-        }
-    }
-
-    /// A thread resumed by `on_finish` frame draining: switch without a
-    /// flush (the serial path sets `current_thread` directly).
-    pub(crate) fn log_resume(&mut self, thread: u32) {
-        if self.events_on {
-            self.seq.push(SeqOp::Switch { thread });
-        }
-    }
-
-    pub(crate) fn log_ops(&mut self, count: u64) {
-        if !self.events_on || count == 0 {
-            return;
-        }
-        // Runs of compute coalesce; reads/calls/switches break the run.
-        if let Some(SeqOp::Ops { count: last }) = self.seq.last_mut() {
-            *last += count;
-        } else {
-            self.seq.push(SeqOp::Ops { count });
-        }
-    }
-
     /// Appends one non-empty shadow access to the log: one record per
     /// chunk run, each preceded by the evictions its run caused.
     #[allow(clippy::too_many_arguments)] // the owner and both clocks
@@ -617,11 +531,6 @@ impl ShardEngine {
     ) {
         debug_assert!(len > 0, "empty accesses are never dispatched");
         let timer = self.obs_on.then(Instant::now);
-        if !write && self.events_on {
-            self.seq.push(SeqOp::Read {
-                idx: self.dispatch.accesses,
-            });
-        }
         self.dispatch.accesses += 1;
         let clocks = self.clocks_on.then_some((at, phase_at));
         let kind = if write { WRITE } else { 0 };
@@ -670,36 +579,6 @@ impl ShardEngine {
         }
     }
 
-    /// The serial-equivalent shadow counters.
-    ///
-    /// With an oracle the chunk and access counters come straight from it
-    /// and are exact at any time. With the oracle elided the access
-    /// counters ([`RouteStats`]) are exact, and the resident chunks are
-    /// the workers'. Either way the footprint is priced as the serial
-    /// granule table holds it, from the resident chunks and the workers'
-    /// split-granule counts. Worker counts are per-block snapshots —
-    /// lagging in-flight blocks mid-run, exact once
-    /// [`ShardEngine::finish`] has joined the workers (each stores its
-    /// final counts after its last block).
-    pub(crate) fn memory_stats(&self) -> MemoryStats {
-        let sum = |counts: &[Arc<AtomicU64>]| -> u64 {
-            counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-        };
-        let chunks = match &self.oracle {
-            Some(oracle) => oracle.stats(),
-            None => MemoryStats {
-                resident_chunks: sum(&self.resident_chunks),
-                accesses: self.route.accesses,
-                mru_hits: self.route.mru_hits,
-                table_probes: self.route.accesses - self.route.mru_hits,
-                runs: self.route.runs,
-                run_bytes: self.route.run_bytes,
-                ..MemoryStats::default()
-            },
-        };
-        (self.price)(chunks, sum(&self.split_granules))
-    }
-
     /// Publishes the last block, closes the channels, joins the workers,
     /// and composes the final serial-equivalent memory stats.
     pub(crate) fn finish(mut self) -> ShardFinish {
@@ -716,13 +595,28 @@ impl ShardEngine {
                 ),
             })
             .collect();
+        // The oracle's counters are the serial table's. Without it the
+        // access counters come from `RouteStats`, and the workers own
+        // disjoint chunk sets whose union is the serial footprint. Either
+        // way the footprint is priced as the serial granule table holds
+        // it, with the workers' summed split-granule counts.
+        let chunks = match &self.oracle {
+            Some(oracle) => oracle.stats(),
+            None => MemoryStats {
+                resident_chunks: results.iter().map(|r| r.stats.resident_chunks).sum(),
+                accesses: self.route.accesses,
+                mru_hits: self.route.mru_hits,
+                table_probes: self.route.accesses - self.route.mru_hits,
+                runs: self.route.runs,
+                run_bytes: self.route.run_bytes,
+                ..MemoryStats::default()
+            },
+        };
+        let splits = results.iter().map(|r| r.split_granules).sum();
         ShardFinish {
-            // Post-join, so exact: without an oracle the shards own
-            // disjoint chunk sets whose union is the serial footprint.
-            memory: self.memory_stats(),
+            memory: (self.price)(chunks, splits),
             dispatch: self.dispatch,
             results,
-            seq: std::mem::take(&mut self.seq),
         }
     }
 }
@@ -737,12 +631,6 @@ struct WorkerSpec {
     /// Telemetry: blocks this worker has drained, shared with the
     /// engine's channel-depth sampling.
     blocks_received: Arc<AtomicU64>,
-    /// Resident-chunk count of this worker's table, refreshed after
-    /// every block for the engine's elided-mode residency reads.
-    resident_chunks: Arc<AtomicU64>,
-    /// Split-granule count of this worker's table, refreshed after every
-    /// block for the engine's footprint pricing.
-    split_granules: Arc<AtomicU64>,
 }
 
 /// Per-worker replay state; `R` is the shadow slot's reuse part.
@@ -753,7 +641,7 @@ struct WorkerState<R> {
     ctx_funcs: Vec<Option<FunctionId>>,
     /// Per-run transfer scratch.
     scratch: Transfers,
-    transfers: TransferMap,
+    segments: Vec<Segment>,
     phases: Option<PhaseBuilder>,
     evictions_applied: u64,
 }
@@ -778,7 +666,7 @@ fn shard_worker<R: ReuseSlot>(spec: WorkerSpec, rx: Receiver<Arc<Block>>) -> Sha
         tally: Tally::for_slot::<R>(),
         ctx_funcs: Vec::new(),
         scratch: Transfers::new(spec.events_on, spec.phase_bucket_ops.is_some()),
-        transfers: TransferMap::new(),
+        segments: Vec::new(),
         phases: spec.phase_bucket_ops.map(PhaseBuilder::new),
         evictions_applied: 0,
     };
@@ -816,17 +704,14 @@ fn shard_worker<R: ReuseSlot>(spec: WorkerSpec, rx: Receiver<Arc<Block>>) -> Sha
             }
         }
         drop(block);
-        spec.resident_chunks
-            .store(state.table.chunk_count() as u64, Ordering::Relaxed);
-        spec.split_granules
-            .store(state.table.split_granules(), Ordering::Relaxed);
         busy_ns += u64::try_from(work.elapsed().as_nanos()).unwrap_or(u64::MAX);
     }
     state.tally.flush_live_reuse(&state.table);
     ShardResult {
         stats: state.table.stats(),
+        split_granules: state.table.split_granules(),
         tally: state.tally,
-        transfers: state.transfers,
+        segments: state.segments,
         phases: state.phases,
         evictions_applied: state.evictions_applied,
         busy_ns,
@@ -848,7 +733,7 @@ fn apply_run<R: ReuseSlot>(
         tally,
         ctx_funcs,
         scratch,
-        transfers,
+        segments,
         phases,
         ..
     } = state;
@@ -871,83 +756,17 @@ fn apply_run<R: ReuseSlot>(
     let mut read = tally.read(reader, |ctx| ctx_funcs[ctx.index()], scratch);
     run.cells_mut(0, len, |cells, weight| read.cells(cells, weight));
     read.finish();
-    if !scratch.calls.is_empty() {
-        transfers
-            .entry(idx)
-            .or_default()
-            .push((part, std::mem::take(&mut scratch.calls)));
-    }
+    segments.extend(
+        scratch
+            .calls
+            .iter()
+            .map(|&(from, bytes)| (idx, part, from, bytes)),
+    );
     if let Some(builder) = phases.as_mut() {
         for &(producer_ctx, bytes) in &scratch.ctxs {
             builder.record_transfer(producer_ctx, rec.ctx, phase_at, bytes);
         }
     }
-}
-
-/// Replays the profiler thread's [`SeqOp`] log against simulated per-thread
-/// frame stacks, splicing worker transfer segments back in access
-/// order. Mirrors the serial emitter exactly: `push_compute` drops
-/// zero-op fragments, `push_transfer` coalesces adjacent same-pair
-/// records, a read's pending op is flushed before its transfers.
-pub(crate) fn sequence_events(seq: Vec<SeqOp>, transfers: &mut TransferMap) -> EventFile {
-    struct SimFrame {
-        ctx: ContextId,
-        call: CallNumber,
-        pending: u64,
-    }
-    fn flush(events: &mut EventFile, stack: &mut [SimFrame]) {
-        if let Some(frame) = stack.last_mut() {
-            let ops = frame.pending;
-            frame.pending = 0;
-            events.push_compute(frame.call, frame.ctx, ops);
-        }
-    }
-
-    let mut events = EventFile::new();
-    let mut stacks: HashMap<u32, Vec<SimFrame>> = HashMap::new();
-    let mut current: u32 = 0;
-    for op in seq {
-        let stack = stacks.entry(current).or_default();
-        match op {
-            SeqOp::Call { call, ctx } => {
-                let parent_call = stack.last().map_or(CallNumber::ROOT, |f| f.call);
-                flush(&mut events, stack);
-                events.push_call(parent_call, call, ctx);
-                stack.push(SimFrame {
-                    ctx,
-                    call,
-                    pending: 0,
-                });
-            }
-            SeqOp::Return => {
-                flush(&mut events, stack);
-                stack.pop();
-            }
-            SeqOp::Flush => flush(&mut events, stack),
-            SeqOp::Switch { thread } => current = thread,
-            SeqOp::Ops { count } => {
-                if let Some(frame) = stack.last_mut() {
-                    frame.pending += count;
-                }
-            }
-            SeqOp::Read { idx } => {
-                if let Some(frame) = stack.last_mut() {
-                    frame.pending += 1;
-                }
-                if let Some(mut parts) = transfers.remove(&idx) {
-                    let to_call = stack.last().map_or(CallNumber::ROOT, |f| f.call);
-                    parts.sort_by_key(|&(part, _)| part);
-                    flush(&mut events, stack);
-                    for (_, segs) in parts {
-                        for (from_call, bytes) in segs {
-                            events.push_transfer(from_call, to_call, bytes);
-                        }
-                    }
-                }
-            }
-        }
-    }
-    events
 }
 
 #[cfg(test)]
@@ -999,66 +818,6 @@ mod tests {
         let a = frag(&[(0, 4)], &[(0, 1, 4)]);
         let merged = merge_fragments([ShardFragment::default(), a.clone()]);
         assert_eq!(merged, merge_fragments([a]));
-    }
-
-    #[test]
-    fn sequencer_reproduces_serial_emission_order() {
-        // call main(1) → 3 ops → read with an 8-byte transfer from root
-        // → 2 ops → return: the flush before the Transfer counts the 3
-        // ops plus the read's own op; the trailing Compute counts the 2
-        // ops after.
-        let seq = vec![
-            SeqOp::Call {
-                call: CallNumber::from_raw(1),
-                ctx: ContextId(1),
-            },
-            SeqOp::Ops { count: 3 },
-            SeqOp::Read { idx: 0 },
-            SeqOp::Ops { count: 2 },
-            SeqOp::Return,
-        ];
-        let mut transfers = TransferMap::new();
-        transfers.insert(0, vec![(0, vec![(CallNumber::ROOT, 8)])]);
-        let events = sequence_events(seq, &mut transfers);
-        use crate::events_out::EventRecord;
-        let records = events.records();
-        assert_eq!(records.len(), 4);
-        assert!(matches!(records[0], EventRecord::Call { .. }));
-        assert!(matches!(records[1], EventRecord::Compute { ops: 4, .. }));
-        assert!(
-            matches!(records[2], EventRecord::Transfer { bytes: 8, to_call, .. }
-                if to_call == CallNumber::from_raw(1))
-        );
-        assert!(matches!(records[3], EventRecord::Compute { ops: 2, .. }));
-    }
-
-    #[test]
-    fn sequencer_orders_straddling_parts_by_byte_order() {
-        // Two parts arriving out of order must splice back in part order
-        // and coalesce into one transfer record when the producer call
-        // matches.
-        let producer = CallNumber::from_raw(7);
-        let seq = vec![
-            SeqOp::Call {
-                call: CallNumber::from_raw(9),
-                ctx: ContextId(2),
-            },
-            SeqOp::Read { idx: 5 },
-            SeqOp::Return,
-        ];
-        let mut transfers = TransferMap::new();
-        transfers.insert(5, vec![(1, vec![(producer, 4)]), (0, vec![(producer, 12)])]);
-        let events = sequence_events(seq, &mut transfers);
-        use crate::events_out::EventRecord;
-        let transfer_bytes: Vec<u64> = events
-            .records()
-            .iter()
-            .filter_map(|r| match r {
-                EventRecord::Transfer { bytes, .. } => Some(*bytes),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(transfer_bytes, vec![16], "parts coalesce in byte order");
     }
 
     #[test]

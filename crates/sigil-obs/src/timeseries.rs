@@ -70,11 +70,6 @@ pub fn set_resolution_ms(ms: u64) {
     with_store(|store| store.bucket_ms = ms.max(1));
 }
 
-/// The current bucket width in milliseconds.
-pub fn resolution_ms() -> u64 {
-    with_store(|store| store.bucket_ms)
-}
-
 /// Adds `n` to counter series `name` in the bucket covering *now*.
 /// No-op while the crate is disabled.
 pub fn record_counter(name: &str, n: u64) {
