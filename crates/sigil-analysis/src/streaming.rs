@@ -1,13 +1,13 @@
 //! Single-pass streaming folds over event records (paper §II-C2).
 //!
-//! The in-memory analyses ([`DependencyGraph`], [`crate::cdfg::Cdfg`])
+//! The in-memory analyses ([`crate::DependencyGraph`], [`crate::cdfg::Cdfg`])
 //! materialize O(records) state — a wall at production trace volume. The
 //! folds here consume records one at a time (e.g. straight from a
 //! [`ChunkStream`] over the binary format), so peak memory is bounded by
 //! one decoded chunk plus the fold state:
 //!
 //! * [`CriticalPathFold`] keeps one finish time per dynamic call — it
-//!   reproduces [`DependencyGraph::critical_path`]'s `serial_ops` and
+//!   reproduces [`crate::DependencyGraph::critical_path`]'s `serial_ops` and
 //!   `length_ops` exactly, without building a single fragment node.
 //! * [`EventCdfgFold`] aggregates calls, compute ops, and context-pair
 //!   transfer bytes into a context tree — the event-level counterpart of
@@ -18,7 +18,7 @@
 //! O(records): compute fragments and transfers — the bulk of a trace —
 //! add no state. The one thing a fold cannot give is the critical path's
 //! node list itself (that is inherently O(path)); extraction stays on the
-//! in-memory [`DependencyGraph`].
+//! in-memory [`crate::DependencyGraph`].
 
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
@@ -32,7 +32,7 @@ use sigil_core::{EventRecord, PhaseBuilder, PhaseProfile};
 use sigil_trace::CallNumber;
 
 use crate::breakeven::{breakeven_speedup, BusModel};
-use crate::critical_path::{CommModel, CriticalPathError, DependencyGraph};
+use crate::critical_path::{CommModel, CriticalPathError};
 use crate::merge::{Flow, Forest};
 
 /// A failure while streaming an analysis off a binary event file.
@@ -100,9 +100,9 @@ impl PathSummary {
 ///
 /// Pushes records in program order and tracks, per dynamic call, only the
 /// finish time of its latest fragment — the same recurrence
-/// [`DependencyGraph::from_records`] evaluates, minus the nodes. The
+/// [`crate::DependencyGraph::from_records`] evaluates, minus the nodes. The
 /// resulting [`PathSummary`] is bit-for-bit the `serial_ops`/`length_ops`
-/// pair of [`DependencyGraph::critical_path`].
+/// pair of [`crate::DependencyGraph::critical_path`].
 #[derive(Debug, Clone)]
 pub struct CriticalPathFold {
     comm: CommModel,
@@ -175,7 +175,7 @@ impl CriticalPathFold {
     /// # Errors
     ///
     /// Returns [`CriticalPathError::EmptyEventFile`] when no compute work
-    /// was folded, exactly like [`DependencyGraph::critical_path`].
+    /// was folded, exactly like [`crate::DependencyGraph::critical_path`].
     pub fn finish(self) -> Result<PathSummary, CriticalPathError> {
         if self.serial_ops == 0 {
             return Err(CriticalPathError::EmptyEventFile);
@@ -599,9 +599,9 @@ impl PhaseFold {
                 let from = self.ctx_or_root(parent_call);
                 self.ctx_of.insert(call, ctx);
                 self.builder.record_call(from, ctx, self.clock);
-                self.clock += 1;
+                self.clock = self.clock.saturating_add(1);
             }
-            EventRecord::Compute { ops, .. } => self.clock += ops,
+            EventRecord::Compute { ops, .. } => self.clock = self.clock.saturating_add(ops),
             EventRecord::Transfer {
                 from_call,
                 to_call,
@@ -648,27 +648,10 @@ pub fn phase_profile_from_bin<R: Read>(
     Ok(fold.finish())
 }
 
-/// Reference implementation used by the conformance tests: the summary of
-/// the full in-memory dependency graph.
-///
-/// # Errors
-///
-/// Fails when no compute work exists.
-pub fn in_memory_summary(
-    records: &[EventRecord],
-    comm: &CommModel,
-) -> Result<PathSummary, CriticalPathError> {
-    let graph = DependencyGraph::from_records(records.iter().copied(), comm);
-    let cp = graph.critical_path()?;
-    Ok(PathSummary {
-        serial_ops: cp.serial_ops,
-        length_ops: cp.length_ops,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::critical_path::DependencyGraph;
     use proptest::prelude::*;
     use sigil_core::events_bin::encode_events_chunked;
     use sigil_core::{EventFile, SigilConfig, SigilProfiler};
@@ -715,11 +698,14 @@ mod tests {
                 bytes_per_op: 1.0,
             },
         ] {
-            let reference = in_memory_summary(events.records(), &comm).expect("compute work");
+            let reference = DependencyGraph::from_records(events.records().iter().copied(), &comm)
+                .critical_path()
+                .expect("compute work");
             let mut fold = CriticalPathFold::with_comm(comm);
             fold.extend(events.records());
             let summary = fold.finish().expect("compute work");
-            assert_eq!(summary, reference);
+            assert_eq!(summary.serial_ops, reference.serial_ops);
+            assert_eq!(summary.length_ops, reference.length_ops);
             assert!(summary.max_parallelism() > 1.0);
         }
     }
@@ -729,10 +715,13 @@ mod tests {
         let events = diamond();
         let bytes = encode_events_chunked(&events, 3);
         let reference =
-            in_memory_summary(events.records(), &CommModel::free()).expect("compute work");
+            DependencyGraph::from_records(events.records().iter().copied(), &CommModel::free())
+                .critical_path()
+                .expect("compute work");
         let streamed =
             critical_path_from_bin(bytes.as_slice(), &CommModel::free()).expect("clean file");
-        assert_eq!(streamed, reference);
+        assert_eq!(streamed.serial_ops, reference.serial_ops);
+        assert_eq!(streamed.length_ops, reference.length_ops);
     }
 
     #[test]
@@ -872,10 +861,15 @@ mod tests {
 
     #[test]
     fn malformed_streams_never_panic_the_folds() {
-        // Transfers referencing undeclared calls, orphan computes, and a
-        // would-be context cycle all fold cleanly.
+        // Transfers referencing undeclared calls, orphan computes, sums
+        // past u64::MAX, and a would-be context cycle all fold cleanly.
         let mut fold = EventCdfgFold::new();
         let records = [
+            EventRecord::Transfer {
+                from_call: call(99),
+                to_call: call(98),
+                bytes: u64::MAX,
+            },
             EventRecord::Transfer {
                 from_call: call(99),
                 to_call: call(98),
@@ -922,6 +916,18 @@ mod tests {
             cp.push(r);
         }
         cp.finish().expect("compute work present");
+
+        // The phase clock and the two transfers sharing a bucket saturate.
+        let mut phases = PhaseFold::new(1);
+        phases.extend(&records);
+        assert_eq!(phases.clock(), u64::MAX);
+        let profile = phases.finish();
+        assert_eq!(profile.pairs[0].buckets[0].xfer_bytes, u64::MAX);
+        assert_eq!(
+            profile.num_buckets(),
+            u64::MAX,
+            "calls at the saturated clock"
+        );
     }
 
     #[test]

@@ -13,7 +13,6 @@ use std::time::{Duration, Instant};
 pub mod obs;
 
 use sigil_callgrind::{CallgrindConfig, CallgrindProfiler};
-use sigil_core::sweep::{sweep, SweepEntry};
 use sigil_core::{Profile, SigilConfig, SigilProfiler};
 use sigil_trace::observer::CountingObserver;
 use sigil_trace::{Engine, ExecutionObserver, RuntimeEvent};
@@ -25,27 +24,6 @@ pub fn profile(bench: Benchmark, size: InputSize, config: SigilConfig) -> Profil
     bench.run(size, &mut engine);
     let (profiler, symbols) = engine.finish_with_symbols();
     profiler.into_profile(symbols)
-}
-
-/// Profiles every benchmark in `benches` at `size` under `config`, using
-/// `jobs` worker threads (1 = serial). Entries come back in input order
-/// with per-workload wall time filled in; each workload's profile is
-/// identical to what a serial run produces because profilers share no
-/// state.
-pub fn sweep_suite(
-    benches: &[Benchmark],
-    size: InputSize,
-    config: &SigilConfig,
-    jobs: usize,
-) -> Vec<SweepEntry> {
-    let names: Vec<(String, String)> = benches
-        .iter()
-        .map(|b| (b.name().to_string(), size.to_string()))
-        .collect();
-    sweep(jobs, &names, |name| {
-        let bench: Benchmark = name.parse().expect("sweep names come from Benchmark");
-        profile(bench, size, *config)
-    })
 }
 
 /// Times one closure.

@@ -20,7 +20,7 @@
 //!   estimate used by the partitioning heuristic;
 //! * [`profiler`] — [`CallgrindProfiler`], an
 //!   [`sigil_trace::ExecutionObserver`] tying it all together;
-//! * [`output`] — flat-profile text rendering.
+//! * [`output`] — calltree text rendering.
 //!
 //! # Example
 //!

@@ -1,43 +1,8 @@
-//! Flat-profile text rendering, in the spirit of `callgrind_annotate`.
+//! Calltree text rendering, in the spirit of `callgrind_annotate`.
 
 use std::fmt::Write as _;
 
 use crate::profiler::CallgrindProfile;
-
-/// Renders the per-function flat profile as an aligned text table, sorted
-/// by estimated cycles.
-pub fn flat_profile(profile: &CallgrindProfile, max_rows: usize) -> String {
-    let rows = profile.function_totals();
-    let total_cycles = profile.total_cycles().max(1);
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:>12} {:>6} {:>10} {:>12} {:>10} {:>8} {:>8}  function",
-        "cycles", "cyc%", "calls", "ir", "ops", "l1m", "llm"
-    );
-    for row in rows.iter().take(max_rows) {
-        let _ = writeln!(
-            out,
-            "{:>12} {:>5.1}% {:>10} {:>12} {:>10} {:>8} {:>8}  {}",
-            row.cycles,
-            100.0 * row.cycles as f64 / total_cycles as f64,
-            row.calls,
-            row.costs.ir,
-            row.costs.ops_total(),
-            row.costs.l1_misses(),
-            row.costs.ll_misses(),
-            row.name
-        );
-    }
-    let _ = writeln!(
-        out,
-        "total: {} contexts, {} estimated cycles, {} retired ops",
-        profile.tree.len() - 1,
-        profile.total_cycles(),
-        profile.total_ops
-    );
-    out
-}
 
 /// Renders the calltree with per-context costs, indented by depth.
 pub fn context_tree(profile: &CallgrindProfile) -> String {
@@ -73,54 +38,6 @@ fn render_subtree(
     }
 }
 
-/// Renders the profile in the classic callgrind file format
-/// (`events:` header + per-function cost lines), loadable by
-/// `callgrind_annotate`/`kcachegrind`-style consumers. Costs are the
-/// per-function exclusive totals; the synthetic line number 1 is used
-/// throughout (source positions do not exist for traced workloads).
-pub fn callgrind_format(profile: &CallgrindProfile, command: &str) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "# callgrind format");
-    let _ = writeln!(out, "version: 1");
-    let _ = writeln!(out, "creator: sigil-rs");
-    let _ = writeln!(out, "cmd: {command}");
-    let _ = writeln!(out, "positions: line");
-    let _ = writeln!(out, "events: Ir Dr Dw D1mr D1mw DLmr DLmw Bc Bcm");
-    let _ = writeln!(out);
-    for row in profile.function_totals() {
-        let _ = writeln!(out, "fn={}", row.name);
-        let c = row.costs;
-        let _ = writeln!(
-            out,
-            "1 {} {} {} {} {} {} {} {} {}",
-            c.ir,
-            c.reads,
-            c.writes,
-            c.l1_read_misses,
-            c.l1_write_misses,
-            c.ll_read_misses,
-            c.ll_write_misses,
-            c.branches,
-            c.mispredicts
-        );
-    }
-    let total = profile.total_costs();
-    let _ = writeln!(
-        out,
-        "totals: {} {} {} {} {} {} {} {} {}",
-        total.ir,
-        total.reads,
-        total.writes,
-        total.l1_read_misses,
-        total.l1_write_misses,
-        total.ll_read_misses,
-        total.ll_write_misses,
-        total.branches,
-        total.mispredicts
-    );
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use crate::profiler::{CallgrindConfig, CallgrindProfiler};
@@ -137,57 +54,6 @@ mod tests {
         engine.ret();
         let (p, s) = engine.finish_with_symbols();
         p.into_profile(s)
-    }
-
-    #[test]
-    fn flat_profile_lists_functions() {
-        let text = flat_profile(&sample_profile(), 10);
-        assert!(text.contains("main"));
-        assert!(text.contains("inner"));
-        assert!(text.contains("total:"));
-    }
-
-    #[test]
-    fn flat_profile_respects_row_limit() {
-        let text = flat_profile(&sample_profile(), 1);
-        // Header + 1 row + totals line = 3 lines.
-        assert_eq!(text.lines().count(), 3);
-    }
-
-    #[test]
-    fn callgrind_format_has_header_and_rows() {
-        let text = callgrind_format(&sample_profile(), "bench main");
-        assert!(text.starts_with("# callgrind format"));
-        assert!(text.contains("events: Ir Dr Dw"));
-        assert!(text.contains("cmd: bench main"));
-        assert!(text.contains("fn=main"));
-        assert!(text.contains("fn=inner"));
-        assert!(text.contains("totals:"));
-        // Each fn line is followed by a cost line starting with the
-        // synthetic position.
-        let lines: Vec<&str> = text.lines().collect();
-        for (i, line) in lines.iter().enumerate() {
-            if line.starts_with("fn=") {
-                assert!(lines[i + 1].starts_with("1 "), "cost line after {line}");
-            }
-        }
-    }
-
-    #[test]
-    fn callgrind_format_totals_are_sums() {
-        let profile = sample_profile();
-        let text = callgrind_format(&profile, "x");
-        let totals_line = text
-            .lines()
-            .find(|l| l.starts_with("totals:"))
-            .expect("totals line");
-        let ir: u64 = totals_line
-            .split_whitespace()
-            .nth(1)
-            .expect("Ir field")
-            .parse()
-            .expect("numeric");
-        assert_eq!(ir, profile.total_costs().ir);
     }
 
     #[test]

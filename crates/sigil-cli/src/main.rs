@@ -71,12 +71,12 @@ use sigil_workloads::{Benchmark, InputSize};
 fn usage() -> &'static str {
     "usage: sigil <profile|partition|reuse|critpath|phases|schedule|calltree|dot|run|trace|replay|sweep|scaling|diff|events|serve|client|list> [target] [options]\n\
      events:  sigil events <dump|pack|unpack|stat> <target> [-o <file>] [--chunk-records <n>] [--verify]\n\
-     phases:  sigil phases <benchmark|--from-events <file>> [--bucket-ops <n>] [--json|--table]\n\
+     phases:  sigil phases <benchmark|--from-events <file>> [--bucket-ops <n>] [--json]\n\
      scaling: sigil scaling <all|b1,b2,..> [--json] [-o <file>]   fit bytes ~ a*N^b per function\n\
      serve:   sigil serve [--listen <addr|path>] [--credits <n>] [--idle-timeout-ms <n>]\n\
      client:  sigil client <benchmark|file.evb|shutdown> --connect <addr|path> [--check]\n\
      options: --size <simsmall|simmedium|simlarge> (alias: --scale) --reuse --lines <bytes> --events\n\
-              --limit <chunks> --cores <n> --jobs <n> --shards <n> -o <file> --json --table\n\
+              --limit <chunks> --cores <n> --jobs <n> --shards <n> -o <file> --json\n\
               --seeds <n> --seed-base <n> --threads <n> --golden-dir <dir> --bless\n\
               --from-events <file> --chunk-records <n> --verify\n\
               --listen <addr|path> --connect <addr|path> --credits <n> --idle-timeout-ms <n> --check\n\
@@ -118,9 +118,6 @@ struct Options {
     /// Phase bucket width in retired ops (`sigil phases`, or any
     /// profiling command to add `phases` to its JSON output).
     bucket_ops: Option<u64>,
-    /// Force the human-readable table renderer (the default; the
-    /// counterpart of `--json`).
-    table: bool,
     /// Random-program seed count for `sigil diff`.
     seeds: u64,
     /// First seed for `sigil diff`.
@@ -180,7 +177,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         metrics_stream: None,
         metrics_interval_ms: 200,
         bucket_ops: None,
-        table: false,
         seeds: 500,
         seed_base: 0,
         golden_dir: "tests/golden".to_owned(),
@@ -281,7 +277,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 }
                 opts.bucket_ops = Some(n);
             }
-            "--table" => opts.table = true,
             "--seeds" => {
                 let value = it.next().ok_or("--seeds needs a value")?;
                 opts.seeds = value.parse().map_err(|_| "bad --seeds value")?;
@@ -1665,9 +1660,8 @@ mod tests {
         assert_eq!(opts.bucket_ops, None);
         assert!(sigil_config(&opts).phase_bucket_ops.is_none());
 
-        let opts = parse_options(&args(&["vips", "--bucket-ops", "250", "--table"])).expect("ok");
+        let opts = parse_options(&args(&["vips", "--bucket-ops", "250"])).expect("ok");
         assert_eq!(opts.bucket_ops, Some(250));
-        assert!(opts.table);
         assert_eq!(sigil_config(&opts).phase_bucket_ops, Some(250));
 
         // `--bucket-us` is an alias for the same knob.

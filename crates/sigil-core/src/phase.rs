@@ -93,7 +93,7 @@ impl PhaseProfile {
         self.pairs
             .iter()
             .flat_map(|p| p.buckets.iter())
-            .map(|b| b.index + 1)
+            .map(|b| b.index.saturating_add(1))
             .max()
             .unwrap_or(0)
     }
@@ -157,7 +157,8 @@ impl PhaseBuilder {
     /// Tallies `bytes` transferred `from → to` at phase time `at`.
     pub fn record_transfer(&mut self, from: ContextId, to: ContextId, at: u64, bytes: u64) {
         if bytes > 0 {
-            self.cell(from, to, at).1 += bytes;
+            let cell = self.cell(from, to, at);
+            cell.1 = cell.1.saturating_add(bytes);
         }
     }
 

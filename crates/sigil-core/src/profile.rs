@@ -173,13 +173,6 @@ impl Profile {
         self.contexts.iter().map(|c| c.comm.bytes_read).sum()
     }
 
-    /// Edges whose producer or consumer is the given context.
-    pub fn edges_touching(&self, ctx: ContextId) -> impl Iterator<Item = &CommEdge> {
-        self.edges
-            .iter()
-            .filter(move |e| e.producer == ctx || e.consumer == ctx)
-    }
-
     /// Checks the profile's internal consistency invariants, returning a
     /// description of the first violation.
     ///
@@ -304,14 +297,5 @@ mod tests {
         profile.edges[0].unique_bytes += 8;
         let err = profile.validate().unwrap_err();
         assert!(err.contains("unique bytes"));
-    }
-
-    #[test]
-    fn edges_touching_filters() {
-        let profile = two_function_profile();
-        assert_eq!(profile.edges.len(), 1);
-        let edge = profile.edges[0];
-        assert_eq!(profile.edges_touching(edge.producer).count(), 1);
-        assert_eq!(profile.edges_touching(ContextId(999)).count(), 0);
     }
 }

@@ -71,6 +71,7 @@ use sigil_callgrind::{CallTree, ContextId};
 use sigil_mem::{
     chunk_key, chunk_run, GranuleTable, MemoryStats, Owner, ReuseInfo, ReuseSlot, ShadowTable,
 };
+use sigil_obs::metrics::{self, Counter, Gauge};
 use sigil_trace::{Addr, CallNumber, FunctionId, Timestamp};
 
 use crate::classify::{Reader, Tally, Transfers};
@@ -352,12 +353,16 @@ pub(crate) struct ShardEngine {
     dispatch: DispatchStats,
     /// Telemetry (obs-enabled runs only): blocks published, and the
     /// workers' shared drain counters — their difference is the channel
-    /// depth sampled into the timeseries at each publish.
+    /// depth set on the `shard.<i>.depth` gauges at each publish.
     obs_on: bool,
     sent_blocks: u64,
     received_blocks: Vec<Arc<AtomicU64>>,
-    /// Pre-built `shard.{i}.depth` gauge keys (no per-publish `format!`).
-    depth_keys: Vec<String>,
+    /// Metric handles, registered once at construction (inert with obs
+    /// off): each worker's channel depth, their sum as
+    /// `shard.dispatch_backlog`, and `shard.blocks_sent`.
+    depth_gauges: Vec<Gauge>,
+    backlog_gauge: Gauge,
+    blocks_sent: Counter,
 }
 
 impl std::fmt::Debug for ShardEngine {
@@ -429,7 +434,11 @@ impl ShardEngine {
             obs_on: sigil_obs::is_enabled(),
             sent_blocks: 0,
             received_blocks,
-            depth_keys: (0..shards).map(|s| format!("shard.{s}.depth")).collect(),
+            depth_gauges: (0..shards)
+                .map(|s| metrics::gauge(&format!("shard.{s}.depth")))
+                .collect(),
+            backlog_gauge: metrics::gauge("shard.dispatch_backlog"),
+            blocks_sent: metrics::counter("shard.blocks_sent"),
         }
     }
 
@@ -483,20 +492,20 @@ impl ShardEngine {
         panic!("shard worker {shard} panicked: {message}");
     }
 
-    /// Samples each worker's channel depth and the whole pipeline's
-    /// backlog (blocks published but not yet drained) into the
-    /// timeseries store.
+    /// Sets each worker's channel depth and the whole pipeline's
+    /// backlog (blocks published but not yet drained) on their gauges,
+    /// and counts the block just published.
     fn sample_depths(&self) {
         let mut backlog = 0;
-        for (key, received) in self.depth_keys.iter().zip(&self.received_blocks) {
+        for (gauge, received) in self.depth_gauges.iter().zip(&self.received_blocks) {
             let depth = self
                 .sent_blocks
                 .saturating_sub(received.load(Ordering::Relaxed));
-            sigil_obs::timeseries::record_gauge(key, depth as f64);
+            gauge.set(depth as f64);
             backlog += depth;
         }
-        sigil_obs::timeseries::record_gauge("shard.dispatch_backlog", backlog as f64);
-        sigil_obs::timeseries::record_counter("shard.blocks_sent", 1);
+        self.backlog_gauge.set(backlog as f64);
+        self.blocks_sent.inc();
     }
 
     /// Logs the functions of any calltree contexts created since the last

@@ -4,7 +4,7 @@
 //! overhead (Fig. 4/5 slowdown, Fig. 6 memory); this crate gives the
 //! reproduction the same introspective power at runtime. It has **no
 //! external dependencies** (the build environment is offline) and
-//! provides three pillars:
+//! provides four pillars:
 //!
 //! 1. **Span tracing** ([`span`]) — RAII phase spans on thread-local
 //!    span stacks, collected into a global buffer and exportable as a
@@ -16,10 +16,10 @@
 //! 3. **Leveled logging** ([`log`] and the [`obs_warn!`], [`obs_info!`],
 //!    [`obs_debug!`] macros) — a global level gate that compiles down to
 //!    one relaxed atomic load when the level is off.
-//! 4. **Time series and live streaming** ([`timeseries`], [`stream`]) —
-//!    fixed-resolution bucketed counters/gauges since the trace epoch,
-//!    and a background [`MetricsStreamer`] appending delta snapshots of
-//!    the metrics registry as tail-able JSONL at a fixed interval.
+//! 4. **Live streaming** ([`stream`]) — a background [`MetricsStreamer`]
+//!    appending delta snapshots of the metrics registry as tail-able
+//!    JSONL at a fixed interval: one line per interval, so the stream is
+//!    the registry's time series.
 //!
 //! Tracing and metrics are **disabled by default** and cost one relaxed
 //! atomic load per instrumentation site until [`set_enabled`] turns them
@@ -51,7 +51,6 @@ pub mod log;
 pub mod metrics;
 pub mod span;
 pub mod stream;
-pub mod timeseries;
 
 pub use chrome::{export_chrome_trace, write_chrome_trace};
 pub use log::Level;

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 use sigil_analysis::streaming::{CriticalPathFold, EventCdfgFold, PhaseFold};
 use sigil_core::events_bin::decode_chunk_payload;
 use sigil_core::{EventRecord, SigilProfiler, TraceRecord};
-use sigil_obs::{metrics, obs_info, timeseries};
+use sigil_obs::{metrics, obs_info};
 use sigil_trace::{ExecutionObserver, SymbolTable};
 
 use crate::proto::{
@@ -158,14 +158,12 @@ impl Shared {
         let active = self.active.fetch_add(1, Ordering::SeqCst) + 1;
         metrics::counter("serve.sessions.opened").inc();
         metrics::gauge("serve.sessions.active").set(active as f64);
-        timeseries::record_gauge("serve.sessions.active", active as f64);
         id
     }
 
     fn session_ended(&self, failed: bool) {
         let active = self.active.fetch_sub(1, Ordering::SeqCst) - 1;
         metrics::gauge("serve.sessions.active").set(active as f64);
-        timeseries::record_gauge("serve.sessions.active", active as f64);
         if failed {
             metrics::counter("serve.sessions.failed").inc();
         } else {
@@ -677,7 +675,6 @@ fn session_worker(
             } => {
                 let lag_us = enqueued.elapsed().as_micros().min(u128::from(u64::MAX)) as u64;
                 lag.observe(lag_us);
-                timeseries::record_gauge("serve.ingest_lag_us", lag_us as f64);
                 let fed = feed_chunk(&mut state, &payload, records, offset).map_err(|e| {
                     let message = e.to_string();
                     send_error(&writer, chunk_error_offset(&e, offset), message.clone());
@@ -764,9 +761,13 @@ fn feed_chunk(
                 }
                 critpath.push(record);
                 cdfg.push(record);
-                match record {
-                    EventRecord::Compute { ops, .. } => *compute_ops += ops,
-                    EventRecord::Transfer { bytes, .. } => *transfer_bytes += bytes,
+                match *record {
+                    EventRecord::Compute { ops, .. } => {
+                        *compute_ops = compute_ops.saturating_add(ops);
+                    }
+                    EventRecord::Transfer { bytes, .. } => {
+                        *transfer_bytes = transfer_bytes.saturating_add(bytes);
+                    }
                     EventRecord::Call { .. } => {}
                 }
             }

@@ -50,7 +50,6 @@ pub struct Engine<O> {
     threads: HashMap<ThreadId, ThreadState>,
     current: ThreadId,
     events_emitted: u64,
-    strict: bool,
 }
 
 impl<O: ExecutionObserver> Engine<O> {
@@ -69,7 +68,6 @@ impl<O: ExecutionObserver> Engine<O> {
             threads: HashMap::from([(ThreadId::MAIN, ThreadState::default())]),
             current: ThreadId::MAIN,
             events_emitted: 0,
-            strict: true,
         }
     }
 
@@ -81,12 +79,6 @@ impl<O: ExecutionObserver> Engine<O> {
 
     fn state_mut(&mut self) -> &mut ThreadState {
         self.threads.entry(self.current).or_default()
-    }
-
-    /// Disables balance panics: malformed traces are then reported only by
-    /// [`Engine::validate`]. Used by fuzz-style tests.
-    pub fn set_strict(&mut self, strict: bool) {
-        self.strict = strict;
     }
 
     /// Shared access to the symbol table.
@@ -144,8 +136,8 @@ impl<O: ExecutionObserver> Engine<O> {
     /// it belong to different threads by construction (that is exactly
     /// how inter-thread communication is expressed). Call frames and
     /// syscall state are per-thread: a `ret` or `syscall_exit` issued on
-    /// a thread with no matching `call`/`syscall_enter` is a strict-mode
-    /// panic even if another thread has an open frame, and
+    /// a thread with no matching `call`/`syscall_enter` panics even if
+    /// another thread has an open frame, and
     /// [`Engine::validate`] sums open frames across *all* threads, so a
     /// thread that is switched away from and never resumed still fails
     /// balance checks if it left frames open.
@@ -168,10 +160,9 @@ impl<O: ExecutionObserver> Engine<O> {
     ///
     /// # Panics
     ///
-    /// Panics in strict mode if no function is active on the current
-    /// thread.
+    /// Panics if no function is active on the current thread.
     pub fn ret(&mut self) {
-        if self.state_mut().stack.pop().is_none() && self.strict {
+        if self.state_mut().stack.pop().is_none() {
             panic!("{}", TraceError::ReturnWithoutCall);
         }
         self.emit(RuntimeEvent::Return);
@@ -196,46 +187,22 @@ impl<O: ExecutionObserver> Engine<O> {
     ///
     /// # Panics
     ///
-    /// Panics in strict mode if `size` is zero or the access runs past
-    /// the end of the 64-bit address space.
+    /// Panics if `size` is zero or the access runs past the end of the
+    /// 64-bit address space.
     pub fn read(&mut self, addr: Addr, size: u32) {
-        let access = MemAccess::new(addr, size);
-        if self.admit(access) {
-            self.emit(RuntimeEvent::Read { access });
-        }
+        let access = admit(addr, size);
+        self.emit(RuntimeEvent::Read { access });
     }
 
     /// Emits a write of `size` bytes at `addr`.
     ///
     /// # Panics
     ///
-    /// Panics in strict mode if `size` is zero or the access runs past
-    /// the end of the 64-bit address space.
+    /// Panics if `size` is zero or the access runs past the end of the
+    /// 64-bit address space.
     pub fn write(&mut self, addr: Addr, size: u32) {
-        let access = MemAccess::new(addr, size);
-        if self.admit(access) {
-            self.emit(RuntimeEvent::Write { access });
-        }
-    }
-
-    /// Whether `access` may be emitted: it covers at least one byte and
-    /// ends inside the address space. Strict mode panics on any other;
-    /// lenient mode drops it.
-    fn admit(&self, access: MemAccess) -> bool {
-        let error = if access.is_empty() {
-            TraceError::EmptyAccess
-        } else if access.checked_end().is_none() {
-            TraceError::AccessPastAddressSpace {
-                addr: access.addr,
-                size: access.size,
-            }
-        } else {
-            return true;
-        };
-        if self.strict {
-            panic!("{error}");
-        }
-        false
+        let access = admit(addr, size);
+        self.emit(RuntimeEvent::Write { access });
     }
 
     /// Emits a read-modify-write of `size` bytes at `addr`, plus one op.
@@ -270,10 +237,9 @@ impl<O: ExecutionObserver> Engine<O> {
     ///
     /// # Panics
     ///
-    /// Panics in strict mode if no system call is active on the current
-    /// thread.
+    /// Panics if no system call is active on the current thread.
     pub fn syscall_exit(&mut self) {
-        if !self.state().in_syscall && self.strict {
+        if !self.state().in_syscall {
             panic!("{}", TraceError::SyscallExitWithoutEnter);
         }
         self.state_mut().in_syscall = false;
@@ -307,12 +273,10 @@ impl<O: ExecutionObserver> Engine<O> {
     ///
     /// # Panics
     ///
-    /// Panics in strict mode if call frames remain open.
+    /// Panics if call frames remain open.
     pub fn finish(mut self) -> O {
-        if self.strict {
-            if let Err(e) = self.validate() {
-                panic!("{e}");
-            }
+        if let Err(e) = self.validate() {
+            panic!("{e}");
         }
         self.observer.on_finish();
         self.observer
@@ -322,16 +286,32 @@ impl<O: ExecutionObserver> Engine<O> {
     ///
     /// # Panics
     ///
-    /// Panics in strict mode if call frames remain open.
+    /// Panics if call frames remain open.
     pub fn finish_with_symbols(mut self) -> (O, SymbolTable) {
-        if self.strict {
-            if let Err(e) = self.validate() {
-                panic!("{e}");
-            }
+        if let Err(e) = self.validate() {
+            panic!("{e}");
         }
         self.observer.on_finish();
         (self.observer, self.symbols)
     }
+}
+
+/// The access of `size` bytes at `addr`.
+///
+/// # Panics
+///
+/// Panics unless it covers at least one byte and ends inside the
+/// address space.
+#[inline]
+fn admit(addr: Addr, size: u32) -> MemAccess {
+    let access = MemAccess::new(addr, size);
+    if access.is_empty() {
+        panic!("{}", TraceError::EmptyAccess);
+    }
+    if access.checked_end().is_none() {
+        panic!("{}", TraceError::AccessPastAddressSpace { addr, size });
+    }
+    access
 }
 
 #[cfg(test)]
@@ -364,7 +344,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "return event without an active call")]
-    fn unbalanced_return_panics_in_strict_mode() {
+    fn unbalanced_return_panics() {
         let mut e = Engine::new(CountingObserver::new());
         e.ret();
     }
@@ -376,16 +356,6 @@ mod tests {
         let f = e.symbols_mut().intern("f");
         e.call(f);
         let _ = e.finish();
-    }
-
-    #[test]
-    fn lenient_mode_tolerates_imbalance() {
-        let mut e = Engine::new(CountingObserver::new());
-        e.set_strict(false);
-        e.ret();
-        assert!(e.validate().is_ok());
-        let obs = e.finish();
-        assert_eq!(obs.counts().returns, 1);
     }
 
     #[test]
@@ -414,16 +384,6 @@ mod tests {
     fn write_past_the_address_space_panics() {
         let mut e = Engine::new(CountingObserver::new());
         e.write(u64::MAX - 3, 8);
-    }
-
-    #[test]
-    fn lenient_mode_drops_inadmissible_accesses() {
-        let mut e = Engine::new(CountingObserver::new());
-        e.set_strict(false);
-        e.read(0x10, 0);
-        e.write(u64::MAX, 2);
-        e.read(u64::MAX - 7, 7);
-        assert_eq!(e.events_emitted(), 1, "only the access ending in range");
     }
 
     #[test]

@@ -501,7 +501,6 @@ mod tests {
         sigil_trace::observer::EventCounts,
     ) {
         let mut engine = Engine::new(CountingObserver::new());
-        engine.set_strict(false);
         let result = Interpreter::new(program).run(&mut engine);
         let counts = engine.finish().into_counts();
         (result, counts)

@@ -108,7 +108,9 @@ fn enabled_observability_captures_phases_and_shadow_counters() {
 /// A sharded run under obs must export the dispatch-thread telemetry:
 /// busy time, record and access counts, and the derived
 /// records-per-access gauge. The access log holds one record per chunk
-/// run, so the records are exactly the profile's runs.
+/// run, so the records are exactly the profile's runs. The pipeline's
+/// depth lands in the same registry: one depth gauge per worker, the
+/// backlog gauge, and the published-block counter.
 #[test]
 fn sharded_runs_export_dispatch_telemetry() {
     let _lock = obs_lock();
@@ -137,21 +139,29 @@ fn sharded_runs_export_dispatch_telemetry() {
         }
         other => panic!("dispatch.records_per_access should be a gauge, got {other:?}"),
     }
+    let is_gauge = |name: &str| matches!(snap.get(name), Some(MetricValue::Gauge(_)));
+    for shard in 0..4 {
+        assert!(
+            is_gauge(&format!("shard.{shard}.depth")),
+            "shard {shard} depth"
+        );
+    }
+    assert!(is_gauge("shard.dispatch_backlog"), "dispatch backlog gauge");
+    assert!(counter("shard.blocks_sent") > 0, "the final block at least");
 
     span::clear();
     metrics::clear();
 }
 
-/// Writers on many threads hammer counters, gauges, histograms, and
-/// timeseries buckets while a reader repeatedly snapshots — every JSON
-/// export must stay well-formed mid-flight, and the final counter totals
-/// must be exact (no lost updates).
+/// Writers on many threads hammer counters, gauges, and histograms
+/// while a reader repeatedly snapshots — every JSON export must stay
+/// well-formed mid-flight, and the final counter totals must be exact
+/// (no lost updates).
 #[test]
 fn concurrent_writers_keep_snapshots_well_formed() {
     let _lock = obs_lock();
     span::clear();
     metrics::clear();
-    sigil::obs::timeseries::clear();
     sigil::obs::set_enabled(true);
 
     const WRITERS: usize = 8;
@@ -164,7 +174,6 @@ fn concurrent_writers_keep_snapshots_well_formed() {
                     metrics::counter(&format!("stress.worker.{w}")).add(i);
                     metrics::set_gauge(&format!("stress.depth.{w}"), i as f64);
                     metrics::histogram("stress.lat", &[1, 10, 100]).observe(i);
-                    sigil::obs::timeseries::record_counter_at("stress.ops", i, 1);
                 }
             })
         })
@@ -175,7 +184,6 @@ fn concurrent_writers_keep_snapshots_well_formed() {
     for _ in 0..50 {
         let doc = json::parse(&metrics::snapshot_json()).expect("metrics JSON mid-write");
         assert!(doc.get("counters").is_some());
-        json::parse(&sigil::obs::timeseries::snapshot_json()).expect("timeseries JSON mid-write");
         let snap = metrics::snapshot();
         let keys: Vec<_> = snap.keys().collect();
         let mut sorted = keys.clone();
@@ -206,18 +214,9 @@ fn concurrent_writers_keep_snapshots_well_formed() {
         }
         other => panic!("stress.lat should be a histogram, got {other:?}"),
     }
-    let (_, series) = sigil::obs::timeseries::snapshot();
-    match series.get("stress.ops") {
-        Some(sigil::obs::timeseries::SeriesSnapshot::Counter(points)) => {
-            let total: u64 = points.iter().map(|&(_, v)| v).sum();
-            assert_eq!(total, WRITERS as u64 * ROUNDS, "timeseries lost updates");
-        }
-        other => panic!("stress.ops should be a counter series, got {other:?}"),
-    }
 
     sigil::obs::set_enabled(false);
     metrics::clear();
-    sigil::obs::timeseries::clear();
 }
 
 #[test]

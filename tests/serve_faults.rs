@@ -323,6 +323,67 @@ fn chunk_decode_error_names_the_bad_byte() {
     drop(server);
 }
 
+/// Op and byte counts whose sums pass `u64::MAX` saturate in an events
+/// session, with phases and without: each session ends in a RESULT
+/// carrying the saturated totals instead of killing its worker, and a
+/// sibling session still conforms.
+#[test]
+fn hostile_counts_saturate_in_events_sessions() {
+    let server = Server::bind(Listen::parse("127.0.0.1:0"), ServeConfig::default())
+        .expect("bind fault server");
+    let address = server.address();
+
+    let call = CallNumber::from_raw(1);
+    let ctx = sigil_callgrind::ContextId(1);
+    let compute = EventRecord::Compute {
+        call,
+        ctx,
+        ops: u64::MAX,
+    };
+    let transfer = EventRecord::Transfer {
+        from_call: call,
+        to_call: call,
+        bytes: u64::MAX,
+    };
+    let records = [
+        EventRecord::Call {
+            parent_call: CallNumber::ROOT,
+            call,
+            ctx,
+        },
+        compute,
+        compute,
+        transfer,
+        transfer,
+    ];
+    for bucket_ops in [Some(1000), None] {
+        let mut client = Client::connect(&address, &SessionSpec::events("hostile", bucket_ops))
+            .expect("open events session");
+        client.stream_events(&records).expect("stream records");
+        let result = client
+            .finish()
+            .unwrap_or_else(|e| panic!("bucket_ops {bucket_ops:?}: session failed: {e}"));
+        assert_eq!(
+            result.compute_ops,
+            Some(u64::MAX),
+            "bucket_ops {bucket_ops:?}"
+        );
+        assert_eq!(
+            result.transfer_bytes,
+            Some(u64::MAX),
+            "bucket_ops {bucket_ops:?}"
+        );
+        assert_eq!(result.phases.is_some(), bucket_ops.is_some());
+    }
+
+    assert_session_conforms(
+        &address,
+        "after-saturation",
+        &record_program(&GenProgram::generate(11)),
+    );
+    drop(server);
+}
+
 /// A client that dies mid-chunk fails only its own session: a sibling
 /// streaming concurrently finishes byte-identical to batch, and the next
 /// connection is served normally.

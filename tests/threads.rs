@@ -271,6 +271,6 @@ fn unbalanced_thread_stacks_are_caught() {
     engine.switch_thread(ThreadId::from_raw(7));
     engine.call(f);
     engine.switch_thread(ThreadId::MAIN);
-    // Thread 7 still has an open frame: finish must panic in strict mode.
+    // Thread 7 still has an open frame: finish must panic.
     let _ = engine.finish();
 }
