@@ -11,8 +11,10 @@
 //! The longest chain from the program entry is the critical path; the
 //! maximum theoretical function-level parallelism is the serial length
 //! divided by the critical-path length.
+//!
+//! [`CriticalPathFold`] evaluates the recurrence; [`DependencyGraph`]
+//! keeps the nodes it yields, for the path and the schedule.
 
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
@@ -20,6 +22,8 @@ use serde::{Deserialize, Serialize};
 use sigil_callgrind::ContextId;
 use sigil_core::{EventFile, EventRecord, Profile};
 use sigil_trace::CallNumber;
+
+use crate::streaming::CriticalPathFold;
 
 /// Analysis failures.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,7 +107,7 @@ impl CommModel {
         } else {
             0
         };
-        self.fixed_ops + transfer
+        self.fixed_ops.saturating_add(transfer)
     }
 }
 
@@ -133,86 +137,22 @@ impl DependencyGraph {
     }
 
     /// Builds the graph from any record sequence — an in-memory slice, or
-    /// a streaming decode of the binary format (the graph itself is still
-    /// O(records); use [`crate::streaming::CriticalPathFold`] when only
-    /// the summary numbers are needed at bounded memory).
+    /// a streaming decode of the binary format — by collecting the nodes
+    /// [`CriticalPathFold`] yields. The graph is O(records); the fold
+    /// alone gives the summary numbers at bounded memory.
     pub fn from_records<I>(records: I, comm: &CommModel) -> Self
     where
         I: IntoIterator<Item = EventRecord>,
     {
-        // Latest fragment node index per dynamic call.
-        let mut latest: HashMap<CallNumber, usize> = HashMap::new();
-        // Pending data-readiness per consumer call: (finish, node index).
-        let mut ready: HashMap<CallNumber, (u64, usize)> = HashMap::new();
-        let mut nodes: Vec<FragmentNode> = Vec::new();
-        let mut serial_ops = 0u64;
-
-        for record in records {
-            match record {
-                EventRecord::Call {
-                    parent_call,
-                    call,
-                    ctx,
-                } => {
-                    let pred = latest.get(&parent_call).copied();
-                    let start = pred.map_or(0, |i| nodes[i].finish);
-                    let idx = nodes.len();
-                    nodes.push(FragmentNode {
-                        call,
-                        ctx,
-                        self_ops: 0,
-                        finish: start,
-                        pred,
-                        order_pred: pred,
-                        data_pred: None,
-                    });
-                    latest.insert(call, idx);
-                }
-                EventRecord::Compute { call, ctx, ops } => {
-                    serial_ops = serial_ops.saturating_add(ops);
-                    let prev = latest.get(&call).copied();
-                    let prev_finish = prev.map_or(0, |i| nodes[i].finish);
-                    let (data_finish, data_pred) =
-                        ready.remove(&call).map_or((0, None), |(f, i)| (f, Some(i)));
-                    let (start, pred) = if data_finish > prev_finish {
-                        (data_finish, data_pred)
-                    } else {
-                        (prev_finish, prev)
-                    };
-                    let idx = nodes.len();
-                    nodes.push(FragmentNode {
-                        call,
-                        ctx,
-                        self_ops: ops,
-                        finish: start.saturating_add(ops),
-                        pred,
-                        order_pred: prev,
-                        data_pred,
-                    });
-                    latest.insert(call, idx);
-                }
-                EventRecord::Transfer {
-                    from_call,
-                    to_call,
-                    bytes,
-                } => {
-                    if let Some(&producer_idx) = latest.get(&from_call) {
-                        let finish = nodes[producer_idx]
-                            .finish
-                            .saturating_add(comm.latency(bytes));
-                        ready
-                            .entry(to_call)
-                            .and_modify(|entry| {
-                                if finish > entry.0 {
-                                    *entry = (finish, producer_idx);
-                                }
-                            })
-                            .or_insert((finish, producer_idx));
-                    }
-                }
-            }
+        let mut fold = CriticalPathFold::with_comm(*comm);
+        let nodes = records
+            .into_iter()
+            .filter_map(|record| fold.fragment(&record))
+            .collect();
+        DependencyGraph {
+            nodes,
+            serial_ops: fold.serial_ops(),
         }
-        DependencyGraph { nodes, serial_ops }
     }
 
     /// The fragment nodes in creation order.

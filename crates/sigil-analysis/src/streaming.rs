@@ -1,25 +1,26 @@
 //! Single-pass streaming folds over event records (paper §II-C2).
 //!
-//! The in-memory analyses ([`crate::DependencyGraph`], [`crate::cdfg::Cdfg`])
-//! materialize O(records) state — a wall at production trace volume. The
-//! folds here consume records one at a time (e.g. straight from a
+//! The folds consume records one at a time (e.g. straight from a
 //! [`ChunkStream`] over the binary format), so peak memory is bounded by
 //! one decoded chunk plus the fold state:
 //!
-//! * [`CriticalPathFold`] keeps one finish time per dynamic call — it
-//!   reproduces [`crate::DependencyGraph::critical_path`]'s `serial_ops` and
-//!   `length_ops` exactly, without building a single fragment node.
+//! * [`CriticalPathFold`] is the one evaluation of the critical-path
+//!   recurrence. It keeps one finish time and fragment index per dynamic
+//!   call and yields the fragment node each record creates;
+//!   [`crate::DependencyGraph`] only collects those nodes when the path
+//!   itself or a schedule is needed.
 //! * [`EventCdfgFold`] aggregates calls, compute ops, and context-pair
 //!   transfer bytes into a context tree — the event-level counterpart of
 //!   the CDFG, supporting the same merge/inclusive/breakeven-trim
 //!   pipeline via [`EventCdfg::trim`].
+//! * [`PhaseFold`] recovers the profiler's phase clock and buckets calls
+//!   and transfers by it.
 //!
-//! Both folds' state is O(distinct dynamic calls) / O(contexts), not
+//! Each fold's state is O(distinct dynamic calls) / O(contexts), not
 //! O(records): compute fragments and transfers — the bulk of a trace —
-//! add no state. The one thing a fold cannot give is the critical path's
-//! node list itself (that is inherently O(path)); extraction stays on the
-//! in-memory [`crate::DependencyGraph`].
+//! add no state.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::error::Error;
 use std::fmt;
@@ -32,7 +33,7 @@ use sigil_core::{EventRecord, PhaseBuilder, PhaseProfile};
 use sigil_trace::CallNumber;
 
 use crate::breakeven::{breakeven_speedup, BusModel};
-use crate::critical_path::{CommModel, CriticalPathError};
+use crate::critical_path::{CommModel, CriticalPathError, FragmentNode};
 use crate::merge::{Flow, Forest};
 
 /// A failure while streaming an analysis off a binary event file.
@@ -96,20 +97,28 @@ impl PathSummary {
     }
 }
 
-/// Streaming critical-path fold.
+/// Streaming critical-path fold: the recurrence of the paper's Figure 3.
 ///
-/// Pushes records in program order and tracks, per dynamic call, only the
-/// finish time of its latest fragment — the same recurrence
-/// [`crate::DependencyGraph::from_records`] evaluates, minus the nodes. The
-/// resulting [`PathSummary`] is bit-for-bit the `serial_ops`/`length_ops`
-/// pair of [`crate::DependencyGraph::critical_path`].
+/// Pushes records in program order. Calls are non-blocking and every
+/// Call or Compute record opens a fragment, numbered in creation order.
+/// A fragment starts at the latest of its ordering predecessor (the
+/// previous fragment of its call, or the caller fragment that spawned
+/// it) and the data it consumes, and finishes `self_ops` later. Per
+/// dynamic call the fold keeps only its latest fragment's finish time and
+/// index, plus the latest-arriving transfer a pending consumer waits on.
+///
+/// [`crate::DependencyGraph`] stores the node the fold yields for each
+/// record; [`CriticalPathFold::push`] drops it and keeps the
+/// [`PathSummary`].
 #[derive(Debug, Clone)]
 pub struct CriticalPathFold {
     comm: CommModel,
-    /// Finish time of the latest fragment per dynamic call.
-    latest: HashMap<CallNumber, u64>,
-    /// Latest-arriving data-readiness per pending consumer call.
-    ready: HashMap<CallNumber, u64>,
+    /// `(finish, fragment)` of the latest fragment per dynamic call.
+    latest: HashMap<CallNumber, (u64, usize)>,
+    /// `(ready, producer fragment)` of the latest-arriving transfer per
+    /// pending consumer call; a tie keeps the first producer.
+    ready: HashMap<CallNumber, (u64, usize)>,
+    fragments: usize,
     serial_ops: u64,
     max_finish: u64,
 }
@@ -126,6 +135,7 @@ impl CriticalPathFold {
             comm,
             latest: HashMap::new(),
             ready: HashMap::new(),
+            fragments: 0,
             serial_ops: 0,
             max_finish: 0,
         }
@@ -133,34 +143,73 @@ impl CriticalPathFold {
 
     /// Folds one record.
     pub fn push(&mut self, record: &EventRecord) {
-        match *record {
+        self.fragment(record);
+    }
+
+    /// Folds one record and returns the fragment node it creates: one
+    /// per Call or Compute record, none for a Transfer. Nodes are
+    /// numbered in the order this returns them.
+    #[inline]
+    pub(crate) fn fragment(&mut self, record: &EventRecord) -> Option<FragmentNode> {
+        // A call opens an empty fragment ordered after its spawner's
+        // latest one; a compute extends its own call and consumes the
+        // data that arrived for it. `slot` is the entry of the call's
+        // latest fragment, which the new one replaces: a compute reads
+        // and replaces it with one lookup.
+        let (call, ctx, ops, order, data, slot) = match *record {
             EventRecord::Call {
-                parent_call, call, ..
+                parent_call,
+                call,
+                ctx,
             } => {
-                let start = self.latest.get(&parent_call).copied().unwrap_or(0);
-                self.latest.insert(call, start);
-                self.max_finish = self.max_finish.max(start);
+                let order = self.latest.get(&parent_call).copied();
+                (call, ctx, 0, order, None, self.latest.entry(call))
             }
-            EventRecord::Compute { call, ops, .. } => {
+            EventRecord::Compute { call, ctx, ops } => {
                 self.serial_ops = self.serial_ops.saturating_add(ops);
-                let prev_finish = self.latest.get(&call).copied().unwrap_or(0);
-                let data_finish = self.ready.remove(&call).unwrap_or(0);
-                let finish = prev_finish.max(data_finish).saturating_add(ops);
-                self.latest.insert(call, finish);
-                self.max_finish = self.max_finish.max(finish);
+                let data = self.ready.remove(&call);
+                let slot = self.latest.entry(call);
+                let order = match &slot {
+                    Entry::Occupied(prev) => Some(*prev.get()),
+                    Entry::Vacant(_) => None,
+                };
+                (call, ctx, ops, order, data, slot)
             }
             EventRecord::Transfer {
                 from_call,
                 to_call,
                 bytes,
             } => {
-                if let Some(&producer_finish) = self.latest.get(&from_call) {
-                    let finish = producer_finish.saturating_add(self.comm.latency(bytes));
-                    let entry = self.ready.entry(to_call).or_insert(finish);
-                    *entry = (*entry).max(finish);
+                if let Some(&(finish, producer)) = self.latest.get(&from_call) {
+                    let ready = finish.saturating_add(self.comm.latency(bytes));
+                    let entry = self.ready.entry(to_call).or_insert((ready, producer));
+                    if ready > entry.0 {
+                        *entry = (ready, producer);
+                    }
                 }
+                return None;
             }
-        }
+        };
+        let index = |pair: Option<(u64, usize)>| pair.map(|(_, i)| i);
+        let order_finish = order.map_or(0, |(finish, _)| finish);
+        // Data decides the start only by arriving strictly later.
+        let (start, pred) = match data {
+            Some((ready, producer)) if ready > order_finish => (ready, Some(producer)),
+            _ => (order_finish, index(order)),
+        };
+        let finish = start.saturating_add(ops);
+        slot.insert_entry((finish, self.fragments));
+        self.fragments += 1;
+        self.max_finish = self.max_finish.max(finish);
+        Some(FragmentNode {
+            call,
+            ctx,
+            self_ops: ops,
+            finish,
+            pred,
+            order_pred: index(order),
+            data_pred: index(data),
+        })
     }
 
     /// Folds a whole record sequence.
@@ -170,13 +219,18 @@ impl CriticalPathFold {
         }
     }
 
-    /// The summary.
+    /// Serial length folded so far: total retired ops of every fragment.
+    pub fn serial_ops(&self) -> u64 {
+        self.serial_ops
+    }
+
+    /// The summary of the records folded so far.
     ///
     /// # Errors
     ///
     /// Returns [`CriticalPathError::EmptyEventFile`] when no compute work
     /// was folded, exactly like [`crate::DependencyGraph::critical_path`].
-    pub fn finish(self) -> Result<PathSummary, CriticalPathError> {
+    pub fn summary(&self) -> Result<PathSummary, CriticalPathError> {
         if self.serial_ops == 0 {
             return Err(CriticalPathError::EmptyEventFile);
         }
@@ -184,6 +238,16 @@ impl CriticalPathFold {
             serial_ops: self.serial_ops,
             length_ops: self.max_finish,
         })
+    }
+
+    /// The final summary; see [`CriticalPathFold::summary`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CriticalPathError::EmptyEventFile`] when no compute work
+    /// was folded.
+    pub fn finish(self) -> Result<PathSummary, CriticalPathError> {
+        self.summary()
     }
 }
 
@@ -688,40 +752,51 @@ mod tests {
         })
     }
 
+    /// The diamond's summary: the producer's 102 ops, then one worker's
+    /// 900 after its 8 bytes arrive (free, or 50 + 8 ops on a bus).
+    fn diamond_summary(latency: u64) -> PathSummary {
+        PathSummary {
+            serial_ops: 102 + 1 + 900 + 1 + 900,
+            length_ops: 102 + latency + 900,
+        }
+    }
+
     #[test]
-    fn fold_matches_in_memory_graph() {
+    fn fold_yields_the_diamond_graph() {
         let events = diamond();
-        for comm in [
-            CommModel::free(),
-            CommModel {
-                fixed_ops: 50,
-                bytes_per_op: 1.0,
-            },
-        ] {
-            let reference = DependencyGraph::from_records(events.records().iter().copied(), &comm)
-                .critical_path()
-                .expect("compute work");
+        let bus = CommModel {
+            fixed_ops: 50,
+            bytes_per_op: 1.0,
+        };
+        for (comm, latency) in [(CommModel::free(), 0), (bus, 58)] {
             let mut fold = CriticalPathFold::with_comm(comm);
-            fold.extend(events.records());
+            let nodes: Vec<FragmentNode> = events
+                .records()
+                .iter()
+                .filter_map(|record| fold.fragment(record))
+                .collect();
+            assert_eq!(nodes.len(), 4 + 5, "one fragment per call and compute");
+            // Fragment 2 is the producer's compute; each worker's second
+            // fragment waits for it rather than for its own first one.
+            for worker in nodes.iter().filter(|node| node.self_ops == 900) {
+                assert_eq!(worker.data_pred, Some(2));
+                assert_eq!(worker.pred, Some(2));
+                assert_eq!(worker.finish, 102 + latency + 900);
+            }
             let summary = fold.finish().expect("compute work");
-            assert_eq!(summary.serial_ops, reference.serial_ops);
-            assert_eq!(summary.length_ops, reference.length_ops);
+            assert_eq!(summary, diamond_summary(latency));
             assert!(summary.max_parallelism() > 1.0);
+            let graph = DependencyGraph::from_records(events.records().iter().copied(), &comm);
+            assert_eq!(graph.nodes(), nodes.as_slice());
         }
     }
 
     #[test]
     fn fold_from_binary_stream_matches() {
-        let events = diamond();
-        let bytes = encode_events_chunked(&events, 3);
-        let reference =
-            DependencyGraph::from_records(events.records().iter().copied(), &CommModel::free())
-                .critical_path()
-                .expect("compute work");
+        let bytes = encode_events_chunked(&diamond(), 3);
         let streamed =
             critical_path_from_bin(bytes.as_slice(), &CommModel::free()).expect("clean file");
-        assert_eq!(streamed.serial_ops, reference.serial_ops);
-        assert_eq!(streamed.length_ops, reference.length_ops);
+        assert_eq!(streamed, diamond_summary(0));
     }
 
     #[test]

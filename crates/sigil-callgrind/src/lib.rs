@@ -36,9 +36,9 @@
 //! engine.ret();
 //! let (profiler, symbols) = engine.finish_with_symbols();
 //! let profile = profiler.into_profile(symbols);
-//! let main_row = profile.function_totals().into_iter()
-//!     .find(|row| row.name == "main").unwrap();
-//! assert_eq!(main_row.costs.ops_total(), 100);
+//! let total = profile.total_costs();
+//! assert_eq!(total.ops_total(), 100);
+//! assert_eq!(total.bytes_written, 64);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -58,4 +58,4 @@ pub use cache::{CacheConfig, CacheHierarchy, CacheSim};
 pub use calltree::{CallTree, ContextId};
 pub use costs::CostVec;
 pub use cycle::CycleModel;
-pub use profiler::{CallgrindConfig, CallgrindProfile, CallgrindProfiler, FunctionRow};
+pub use profiler::{CallgrindConfig, CallgrindProfile, CallgrindProfiler};

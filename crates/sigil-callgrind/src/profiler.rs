@@ -1,9 +1,7 @@
 //! The Callgrind-like profiler observer.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
-use sigil_trace::{ExecutionObserver, FunctionId, OpClock, RuntimeEvent, SymbolTable, Timestamp};
+use sigil_trace::{ExecutionObserver, OpClock, RuntimeEvent, SymbolTable, Timestamp};
 
 use crate::branch::BranchPredictor;
 use crate::cache::{CacheConfig, CacheHierarchy};
@@ -152,21 +150,6 @@ impl ExecutionObserver for CallgrindProfiler {
     }
 }
 
-/// Per-function totals (summed over contexts) within a profile.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FunctionRow {
-    /// The function.
-    pub func: FunctionId,
-    /// Its symbol name.
-    pub name: String,
-    /// Dynamic calls.
-    pub calls: u64,
-    /// Exclusive costs summed over all of the function's contexts.
-    pub costs: CostVec,
-    /// Estimated cycles for those costs.
-    pub cycles: u64,
-}
-
 /// A finished Callgrind-like profile: calltree + symbols + cycle model.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CallgrindProfile {
@@ -181,36 +164,6 @@ pub struct CallgrindProfile {
 }
 
 impl CallgrindProfile {
-    /// Per-function exclusive totals, sorted by estimated cycles,
-    /// descending.
-    pub fn function_totals(&self) -> Vec<FunctionRow> {
-        let mut rows: HashMap<FunctionId, FunctionRow> = HashMap::new();
-        for (_, node) in self.tree.iter() {
-            let Some(func) = node.func else { continue };
-            let row = rows.entry(func).or_insert_with(|| FunctionRow {
-                func,
-                name: self
-                    .symbols
-                    .get_name(func)
-                    .map_or_else(|| func.to_string(), str::to_owned),
-                calls: 0,
-                costs: CostVec::new(),
-                cycles: 0,
-            });
-            row.calls += node.calls;
-            row.costs += node.costs;
-        }
-        let mut rows: Vec<FunctionRow> = rows
-            .into_values()
-            .map(|mut row| {
-                row.cycles = self.cycle_model.estimate(&row.costs);
-                row
-            })
-            .collect();
-        rows.sort_by(|a, b| b.cycles.cmp(&a.cycles).then_with(|| a.name.cmp(&b.name)));
-        rows
-    }
-
     /// Whole-program exclusive costs (sum over all contexts).
     pub fn total_costs(&self) -> CostVec {
         self.tree.iter().map(|(_, n)| n.costs).sum()
@@ -258,17 +211,29 @@ mod tests {
         profiler.into_profile(symbols)
     }
 
+    /// The first calltree context running `name` (each runs in one here).
+    fn node<'a>(profile: &'a CallgrindProfile, name: &str) -> &'a crate::calltree::ContextNode {
+        profile
+            .tree
+            .iter()
+            .find(|(_, n)| {
+                n.func
+                    .is_some_and(|f| profile.symbols.get_name(f) == Some(name))
+            })
+            .map(|(_, n)| n)
+            .unwrap_or_else(|| panic!("no context runs {name}"))
+    }
+
     #[test]
-    fn function_totals_attribute_costs() {
+    fn contexts_attribute_costs() {
         let profile = profile_toy();
-        let rows = profile.function_totals();
-        let work = rows.iter().find(|r| r.name == "work").expect("work row");
+        let work = node(&profile, "work");
         assert_eq!(work.calls, 1);
         assert_eq!(work.costs.flops(), 100);
         assert_eq!(work.costs.writes, 8);
         assert_eq!(work.costs.reads, 8);
         assert_eq!(work.costs.bytes_written, 64);
-        let main = rows.iter().find(|r| r.name == "main").expect("main row");
+        let main = node(&profile, "main");
         assert_eq!(main.costs.ops_total(), 10);
         assert_eq!(main.costs.reads, 0);
     }
@@ -276,8 +241,7 @@ mod tests {
     #[test]
     fn cache_misses_recorded_for_cold_accesses() {
         let profile = profile_toy();
-        let rows = profile.function_totals();
-        let work = rows.iter().find(|r| r.name == "work").expect("work row");
+        let work = node(&profile, "work");
         // 8 writes to a single 64-byte line: 1 cold miss; reads then hit.
         assert_eq!(work.costs.l1_write_misses, 1);
         assert_eq!(work.costs.l1_read_misses, 0);
@@ -325,12 +289,7 @@ mod tests {
         engine.ret();
         let (profiler, symbols) = engine.finish_with_symbols();
         let profile = profiler.into_profile(symbols);
-        let rows = profile.function_totals();
-        let sys = rows
-            .iter()
-            .find(|r| r.name == "sys_read")
-            .expect("syscall row");
-        assert_eq!(sys.costs.bytes_written, 128);
+        assert_eq!(node(&profile, "sys_read").costs.bytes_written, 128);
     }
 
     #[test]

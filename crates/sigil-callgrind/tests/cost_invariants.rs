@@ -121,16 +121,6 @@ proptest! {
     }
 
     #[test]
-    fn function_totals_partition_tree_costs(steps in prop::collection::vec(step_strategy(), 0..250)) {
-        let (profile, _) = run(&steps);
-        let from_rows: u64 = profile.function_totals().iter().map(|r| r.costs.ir).sum();
-        prop_assert_eq!(from_rows, profile.total_costs().ir);
-        let calls_from_rows: u64 = profile.function_totals().iter().map(|r| r.calls).sum();
-        let calls_from_tree: u64 = profile.tree.iter().map(|(_, n)| n.calls).sum();
-        prop_assert_eq!(calls_from_rows, calls_from_tree);
-    }
-
-    #[test]
     fn cycles_dominate_ir(steps in prop::collection::vec(step_strategy(), 0..250)) {
         let (profile, _) = run(&steps);
         prop_assert!(profile.total_cycles() >= profile.total_costs().ir);

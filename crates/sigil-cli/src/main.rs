@@ -44,23 +44,21 @@
 
 use std::process::ExitCode;
 
-use sigil_analysis::critical_path::{CommModel, CriticalPath};
+use sigil_analysis::critical_path::CriticalPath;
 use sigil_analysis::dot::to_dot;
 use sigil_analysis::partition::{
     rank_functions_prepared, trim_calltree_prepared, PartitionConfig, PreparedCdfg,
 };
 use sigil_analysis::reuse_analysis;
 use sigil_analysis::schedule::schedule;
-use sigil_analysis::streaming::{
-    critical_path_from_bin, phase_profile_from_bin, CriticalPathFold, PathSummary, PhaseFold,
-};
+use sigil_analysis::streaming::{CriticalPathFold, PhaseFold};
 use sigil_analysis::Cdfg;
 use sigil_core::events_bin::{
     BinError, BinReader, BinTotals, BinWriter, ChunkRecord, ChunkStream, RecordKind,
     DEFAULT_CHUNK_RECORDS,
 };
 use sigil_core::{
-    report, EventFile, EventRecord, PhaseProfile, Profile, SigilConfig, SigilProfiler, TraceRecord,
+    report, EventFile, EventRecord, Profile, SigilConfig, SigilProfiler, TraceRecord,
 };
 use sigil_obs::log::Level;
 use sigil_obs::{obs_debug, obs_info};
@@ -498,28 +496,32 @@ fn events_profile(opts: &Options) -> Result<Profile, String> {
     })
 }
 
-/// Streaming critical-path summary straight off an event file: binary
-/// files fold one chunk at a time (memory bounded by one chunk plus the
-/// per-call state); text files are parsed and folded in memory.
-fn critpath_from_events(path: &str) -> Result<PathSummary, String> {
+/// Feeds every record of an event file to `f`: a binary (`.evb`) file one
+/// chunk at a time, so memory stays bounded by one chunk plus what `f`
+/// keeps; a text file is parsed whole first.
+fn for_each_event(path: &str, f: impl FnMut(&EventRecord)) -> Result<(), String> {
+    let _span = sigil_obs::span("events:fold");
     if path.ends_with(".evb") {
         let file = std::fs::File::open(path).map_err(|e| format!("cannot open `{path}`: {e}"))?;
-        critical_path_from_bin(std::io::BufReader::new(file), &CommModel::free())
+        ChunkStream::new(std::io::BufReader::new(file))
+            .and_then(|stream| stream.for_each(f))
+            .map(drop)
             .map_err(|e| e.to_string())
     } else {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
         let events =
             EventFile::from_text(&text).map_err(|(line, msg)| format!("{path}:{line}: {msg}"))?;
-        let mut fold = CriticalPathFold::new();
-        fold.extend(events.records());
-        fold.finish().map_err(|e| e.to_string())
+        events.records().iter().for_each(f);
+        Ok(())
     }
 }
 
 fn cmd_critpath(opts: &Options) -> Result<(), String> {
     if let Some(path) = &opts.from_events {
-        let summary = critpath_from_events(path)?;
+        let mut fold = CriticalPathFold::new();
+        for_each_event(path, |record| fold.push(record))?;
+        let summary = fold.finish().map_err(|e| e.to_string())?;
         println!("# {path}: critical path (streaming)");
         println!("serial length  : {} ops", summary.serial_ops);
         println!("critical path  : {} ops", summary.length_ops);
@@ -543,30 +545,12 @@ fn cmd_critpath(opts: &Options) -> Result<(), String> {
 /// given.
 const DEFAULT_BUCKET_OPS: u64 = 1000;
 
-/// Streaming phase profile straight off an event file: binary files fold
-/// one chunk at a time; text files are parsed and folded in memory.
-fn phases_from_events(path: &str, bucket_ops: u64) -> Result<PhaseProfile, String> {
-    if path.ends_with(".evb") {
-        let file = std::fs::File::open(path).map_err(|e| format!("cannot open `{path}`: {e}"))?;
-        phase_profile_from_bin(std::io::BufReader::new(file), bucket_ops).map_err(|e| e.to_string())
-    } else {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-        let events =
-            EventFile::from_text(&text).map_err(|(line, msg)| format!("{path}:{line}: {msg}"))?;
-        let mut fold = PhaseFold::new(bucket_ops);
-        fold.extend(events.records());
-        Ok(fold.finish())
-    }
-}
-
 fn cmd_phases(opts: &Options) -> Result<(), String> {
     let bucket_ops = opts.bucket_ops.unwrap_or(DEFAULT_BUCKET_OPS);
     let (label, phases) = if let Some(path) = &opts.from_events {
-        (
-            format!("{path} (streaming)"),
-            phases_from_events(path, bucket_ops)?,
-        )
+        let mut fold = PhaseFold::new(bucket_ops);
+        for_each_event(path, |record| fold.push(record))?;
+        (format!("{path} (streaming)"), fold.finish())
     } else {
         let profile = collect(&Options {
             bucket_ops: Some(bucket_ops),

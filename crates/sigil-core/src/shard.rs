@@ -589,7 +589,8 @@ impl ShardEngine {
     }
 
     /// Publishes the last block, closes the channels, joins the workers,
-    /// and composes the final serial-equivalent memory stats.
+    /// zeroes the depth gauges, and composes the final serial-equivalent
+    /// memory stats.
     pub(crate) fn finish(mut self) -> ShardFinish {
         self.publish();
         self.senders.clear();
@@ -604,6 +605,10 @@ impl ShardEngine {
                 ),
             })
             .collect();
+        // Every worker drained every block: the pipeline is empty.
+        for gauge in self.depth_gauges.iter().chain([&self.backlog_gauge]) {
+            gauge.set(0.0);
+        }
         // The oracle's counters are the serial table's. Without it the
         // access counters come from `RouteStats`, and the workers own
         // disjoint chunk sets whose union is the serial footprint. Either

@@ -27,6 +27,11 @@
 //! * [`InjectedBug`] — intentional semantic mutations of the oracle used
 //!   to prove the harness actually catches classification bugs and
 //!   produces small repros.
+//! * [`OracleGraph`] — the critical-path reference: the whole Figure 3
+//!   dependency graph with every fragment's incoming edges, and one
+//!   longest-path pass over it. [`check_critical_path`] holds the
+//!   production fold and the graph built from it to it, fragment by
+//!   fragment.
 //!
 //! The oracle models *function-level* identity (the projection both
 //! sides are compared under), not per-context identity; it is faithful
@@ -37,11 +42,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod critical_path;
 pub mod harness;
 pub mod profiler;
 pub mod report;
 pub mod serve_axis;
 
+pub use critical_path::{check_critical_path, OracleGraph};
 pub use profiler::{InjectedBug, OracleProfiler};
 pub use report::{
     diff_reports, project_profile, Divergence, EdgeReport, FunctionReport, OracleReport,

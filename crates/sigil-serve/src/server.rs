@@ -439,13 +439,11 @@ enum WorkItem {
     Finish,
 }
 
-/// Events-mode aggregation: the streaming folds plus running totals.
+/// Events-mode aggregation: the streaming folds.
 struct EventFolds {
     phases: Option<PhaseFold>,
     critpath: CriticalPathFold,
     cdfg: EventCdfgFold,
-    compute_ops: u64,
-    transfer_bytes: u64,
 }
 
 /// Per-session aggregation state: the same folds and profiler the batch
@@ -506,8 +504,6 @@ fn run_session(
             phases: spec.bucket_ops.map(PhaseFold::new),
             critpath: CriticalPathFold::new(),
             cdfg: EventCdfgFold::new(),
-            compute_ops: 0,
-            transfer_bytes: 0,
         }))
     };
 
@@ -751,8 +747,6 @@ fn feed_chunk(
                 phases,
                 critpath,
                 cdfg,
-                compute_ops,
-                transfer_bytes,
             } = folds.as_mut();
             let decoded: Vec<EventRecord> = decode_chunk_payload(payload, records, offset)?;
             for record in &decoded {
@@ -761,15 +755,6 @@ fn feed_chunk(
                 }
                 critpath.push(record);
                 cdfg.push(record);
-                match *record {
-                    EventRecord::Compute { ops, .. } => {
-                        *compute_ops = compute_ops.saturating_add(ops);
-                    }
-                    EventRecord::Transfer { bytes, .. } => {
-                        *transfer_bytes = transfer_bytes.saturating_add(bytes);
-                    }
-                    EventRecord::Call { .. } => {}
-                }
             }
             Ok(decoded.len() as u64)
         }
@@ -787,7 +772,7 @@ fn snapshot(state: &SessionState, records: u64) -> SnapshotInfo {
         SessionState::Events(folds) => SnapshotInfo {
             records,
             phases: folds.phases.clone().map(PhaseFold::finish),
-            critpath: folds.critpath.clone().finish().ok(),
+            critpath: folds.critpath.summary().ok(),
         },
     }
 }
@@ -825,19 +810,26 @@ fn finalize(state: SessionState, mode: String, records: u64) -> SessionResult {
                 phases,
                 critpath,
                 cdfg,
-                compute_ops,
-                transfer_bytes,
             } = *folds;
             let cdfg = cdfg.finish();
+            // Every transfer's bytes land on one CDFG edge or in the
+            // unattributed share, each a saturating sum, so this equals
+            // the saturating sum over all transfers.
+            let transfer_bytes = cdfg
+                .edges()
+                .iter()
+                .fold(cdfg.unattributed_bytes(), |sum, edge| {
+                    sum.saturating_add(edge.bytes)
+                });
             SessionResult {
                 mode,
                 records,
                 profile: None,
                 phases: phases.map(PhaseFold::finish),
+                compute_ops: Some(critpath.serial_ops()),
                 critpath: critpath.finish().ok(),
                 cdfg_contexts: Some(cdfg.len() as u64),
                 cdfg_edges: Some(cdfg.edges().len() as u64),
-                compute_ops: Some(compute_ops),
                 transfer_bytes: Some(transfer_bytes),
             }
         }

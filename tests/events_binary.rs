@@ -7,8 +7,9 @@
 //!   (byte-identical re-encodings),
 //! * the trailer index agrees with a full decode, and no reader accepts
 //!   bytes after the footer,
-//! * the streaming critical-path fold over binary chunks reproduces the
-//!   in-memory [`CriticalPath`] numbers exactly, and
+//! * the streaming critical-path fold over binary chunks and the
+//!   in-memory [`CriticalPath`] both reproduce the naive reference graph's
+//!   numbers ([`OracleGraph`]) exactly, and
 //! * the streaming CDFG fold reproduces the in-memory event CDFG —
 //!   nodes, edges and inclusive costs — exactly.
 
@@ -20,6 +21,7 @@ use sigil::core::events_bin::{decode_events, encode_events_chunked, BinReader, C
 use sigil::core::{EventFile, EventRecord, Profile, SigilConfig, SigilProfiler};
 use sigil::trace::Engine;
 use sigil::workloads::{Benchmark, InputSize};
+use sigil_oracle::OracleGraph;
 
 fn events_profile(bench: Benchmark, config: SigilConfig) -> Profile {
     let mut engine = Engine::new(SigilProfiler::new(config.with_events()));
@@ -105,6 +107,12 @@ fn bytes_after_the_footer_fail_every_reader() {
     );
 }
 
+/// `(serial_ops, length_ops)` of the naive Figure 3 reference graph.
+fn reference_path(events: &EventFile) -> (u64, u64) {
+    let reference = OracleGraph::build(events.records(), &CommModel::free());
+    (reference.serial_ops(), reference.length_ops())
+}
+
 #[test]
 fn streaming_critical_path_matches_in_memory_for_every_benchmark() {
     for bench in Benchmark::ALL {
@@ -112,17 +120,20 @@ fn streaming_critical_path_matches_in_memory_for_every_benchmark() {
         let in_memory =
             CriticalPath::from_profile(&profile).unwrap_or_else(|e| panic!("{bench}: {e}"));
         let events = profile.events.as_ref().expect("events recorded");
+        let reference = reference_path(events);
+        assert_eq!(
+            (in_memory.serial_ops, in_memory.length_ops),
+            reference,
+            "{bench}: in-memory path vs the reference"
+        );
         for chunk in CHUNK_SIZES {
             let bytes = encode_events_chunked(events, chunk);
             let streamed = critical_path_from_bin(&bytes[..], &CommModel::free())
                 .unwrap_or_else(|e| panic!("{bench} chunk={chunk}: {e}"));
             assert_eq!(
-                streamed.serial_ops, in_memory.serial_ops,
-                "{bench} chunk={chunk}"
-            );
-            assert_eq!(
-                streamed.length_ops, in_memory.length_ops,
-                "{bench} chunk={chunk}"
+                (streamed.serial_ops, streamed.length_ops),
+                reference,
+                "{bench} chunk={chunk}: streamed path vs the reference"
             );
         }
     }
@@ -156,7 +167,16 @@ fn sharded_event_recording_round_trips_and_matches() {
         assert_eq!(&decoded, events, "{bench}: sharded events decode differs");
         let streamed = critical_path_from_bin(&bytes[..], &CommModel::free())
             .unwrap_or_else(|e| panic!("{bench}: {e}"));
-        assert_eq!(streamed.serial_ops, in_memory.serial_ops, "{bench}");
-        assert_eq!(streamed.length_ops, in_memory.length_ops, "{bench}");
+        let reference = reference_path(events);
+        assert_eq!(
+            (in_memory.serial_ops, in_memory.length_ops),
+            reference,
+            "{bench}"
+        );
+        assert_eq!(
+            (streamed.serial_ops, streamed.length_ops),
+            reference,
+            "{bench}"
+        );
     }
 }

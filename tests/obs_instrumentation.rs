@@ -110,7 +110,8 @@ fn enabled_observability_captures_phases_and_shadow_counters() {
 /// records-per-access gauge. The access log holds one record per chunk
 /// run, so the records are exactly the profile's runs. The pipeline's
 /// depth lands in the same registry: one depth gauge per worker, the
-/// backlog gauge, and the published-block counter.
+/// backlog gauge, and the published-block counter. A finished run reads
+/// every depth as 0.
 #[test]
 fn sharded_runs_export_dispatch_telemetry() {
     let _lock = obs_lock();
@@ -139,14 +140,15 @@ fn sharded_runs_export_dispatch_telemetry() {
         }
         other => panic!("dispatch.records_per_access should be a gauge, got {other:?}"),
     }
-    let is_gauge = |name: &str| matches!(snap.get(name), Some(MetricValue::Gauge(_)));
+    // The run is finished and its workers joined, so nothing is queued.
+    let drained = |name: &str| match snap.get(name) {
+        Some(MetricValue::Gauge(v)) => assert_eq!(*v, 0.0, "`{name}` after the join"),
+        other => panic!("`{name}` should be a gauge, got {other:?}"),
+    };
     for shard in 0..4 {
-        assert!(
-            is_gauge(&format!("shard.{shard}.depth")),
-            "shard {shard} depth"
-        );
+        drained(&format!("shard.{shard}.depth"));
     }
-    assert!(is_gauge("shard.dispatch_backlog"), "dispatch backlog gauge");
+    drained("shard.dispatch_backlog");
     assert!(counter("shard.blocks_sent") > 0, "the final block at least");
 
     span::clear();

@@ -326,7 +326,8 @@ fn chunk_decode_error_names_the_bad_byte() {
 /// Op and byte counts whose sums pass `u64::MAX` saturate in an events
 /// session, with phases and without: each session ends in a RESULT
 /// carrying the saturated totals instead of killing its worker, and a
-/// sibling session still conforms.
+/// sibling session still conforms. A plain session shows the byte total
+/// includes a transfer from an undeclared call.
 #[test]
 fn hostile_counts_saturate_in_events_sessions() {
     let server = Server::bind(Listen::parse("127.0.0.1:0"), ServeConfig::default())
@@ -335,45 +336,51 @@ fn hostile_counts_saturate_in_events_sessions() {
 
     let call = CallNumber::from_raw(1);
     let ctx = sigil_callgrind::ContextId(1);
-    let compute = EventRecord::Compute {
+    let declare = EventRecord::Call {
+        parent_call: CallNumber::ROOT,
         call,
         ctx,
-        ops: u64::MAX,
     };
-    let transfer = EventRecord::Transfer {
+    let compute = |ops| EventRecord::Compute { call, ctx, ops };
+    let transfer = |bytes| EventRecord::Transfer {
         from_call: call,
         to_call: call,
-        bytes: u64::MAX,
+        bytes,
     };
-    let records = [
-        EventRecord::Call {
-            parent_call: CallNumber::ROOT,
-            call,
-            ctx,
-        },
-        compute,
-        compute,
-        transfer,
-        transfer,
+    // No Call record declares call 99: the event CDFG leaves its bytes
+    // unattributed, and the session total still counts them.
+    let undeclared = EventRecord::Transfer {
+        from_call: CallNumber::from_raw(99),
+        to_call: call,
+        bytes: 3,
+    };
+    let hostile = [
+        declare,
+        compute(u64::MAX),
+        compute(u64::MAX),
+        transfer(u64::MAX),
+        transfer(u64::MAX),
+        undeclared,
     ];
-    for bucket_ops in [Some(1000), None] {
-        let mut client = Client::connect(&address, &SessionSpec::events("hostile", bucket_ops))
-            .expect("open events session");
-        client.stream_events(&records).expect("stream records");
-        let result = client
-            .finish()
-            .unwrap_or_else(|e| panic!("bucket_ops {bucket_ops:?}: session failed: {e}"));
-        assert_eq!(
-            result.compute_ops,
-            Some(u64::MAX),
-            "bucket_ops {bucket_ops:?}"
-        );
-        assert_eq!(
-            result.transfer_bytes,
-            Some(u64::MAX),
-            "bucket_ops {bucket_ops:?}"
-        );
-        assert_eq!(result.phases.is_some(), bucket_ops.is_some());
+    let plain = [declare, compute(7), transfer(8), undeclared];
+    for (records, totals) in [
+        (&hostile[..], (u64::MAX, u64::MAX)),
+        (&plain[..], (7, 8 + 3)),
+    ] {
+        for bucket_ops in [Some(1000), None] {
+            let mut client = Client::connect(&address, &SessionSpec::events("hostile", bucket_ops))
+                .expect("open events session");
+            client.stream_events(records).expect("stream records");
+            let result = client
+                .finish()
+                .unwrap_or_else(|e| panic!("bucket_ops {bucket_ops:?}: session failed: {e}"));
+            assert_eq!(
+                (result.compute_ops, result.transfer_bytes),
+                (Some(totals.0), Some(totals.1)),
+                "bucket_ops {bucket_ops:?}"
+            );
+            assert_eq!(result.phases.is_some(), bucket_ops.is_some());
+        }
     }
 
     assert_session_conforms(
