@@ -45,6 +45,7 @@
 
 pub mod breakeven;
 pub mod buffer;
+mod call_table;
 pub mod cdfg;
 pub mod critical_path;
 pub mod dot;

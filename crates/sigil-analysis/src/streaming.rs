@@ -18,10 +18,14 @@
 //!
 //! Each fold's state is O(distinct dynamic calls) / O(contexts), not
 //! O(records): compute fragments and transfers — the bulk of a trace —
-//! add no state.
+//! add no state. The per-call state is indexed by call number in a
+//! vector whose length stays below `2 × calls held + 1024`; a number
+//! past that bound (call `u64::MAX`, or calls 2^20 apart) is kept in an
+//! overflow map instead, so memory stays O(distinct calls) whatever the
+//! numbers. Aggregation cells are summed in a pending cell while
+//! consecutive records hit the same one.
 
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::io::Read;
@@ -33,6 +37,7 @@ use sigil_core::{EventRecord, PhaseBuilder, PhaseProfile};
 use sigil_trace::CallNumber;
 
 use crate::breakeven::{breakeven_speedup, BusModel};
+use crate::call_table::CallTable;
 use crate::critical_path::{CommModel, CriticalPathError, FragmentNode};
 use crate::merge::{Flow, Forest};
 
@@ -113,11 +118,7 @@ impl PathSummary {
 #[derive(Debug, Clone)]
 pub struct CriticalPathFold {
     comm: CommModel,
-    /// `(finish, fragment)` of the latest fragment per dynamic call.
-    latest: HashMap<CallNumber, (u64, usize)>,
-    /// `(ready, producer fragment)` of the latest-arriving transfer per
-    /// pending consumer call; a tie keeps the first producer.
-    ready: HashMap<CallNumber, (u64, usize)>,
+    calls: CallTable<CallState>,
     fragments: usize,
     serial_ops: u64,
     max_finish: u64,
@@ -133,8 +134,7 @@ impl CriticalPathFold {
     pub fn with_comm(comm: CommModel) -> Self {
         CriticalPathFold {
             comm,
-            latest: HashMap::new(),
-            ready: HashMap::new(),
+            calls: CallTable::default(),
             fragments: 0,
             serial_ops: 0,
             max_finish: 0,
@@ -153,38 +153,33 @@ impl CriticalPathFold {
     pub(crate) fn fragment(&mut self, record: &EventRecord) -> Option<FragmentNode> {
         // A call opens an empty fragment ordered after its spawner's
         // latest one; a compute extends its own call and consumes the
-        // data that arrived for it. `slot` is the entry of the call's
-        // latest fragment, which the new one replaces: a compute reads
-        // and replaces it with one lookup.
+        // data that arrived for it. `slot` is the call's state, whose
+        // latest fragment the new one replaces.
         let (call, ctx, ops, order, data, slot) = match *record {
             EventRecord::Call {
                 parent_call,
                 call,
                 ctx,
             } => {
-                let order = self.latest.get(&parent_call).copied();
-                (call, ctx, 0, order, None, self.latest.entry(call))
+                let order = self.calls.get(parent_call).and_then(|state| state.latest);
+                (call, ctx, 0, order, None, self.calls.entry(call))
             }
             EventRecord::Compute { call, ctx, ops } => {
                 self.serial_ops = self.serial_ops.saturating_add(ops);
-                let data = self.ready.remove(&call);
-                let slot = self.latest.entry(call);
-                let order = match &slot {
-                    Entry::Occupied(prev) => Some(*prev.get()),
-                    Entry::Vacant(_) => None,
-                };
-                (call, ctx, ops, order, data, slot)
+                let slot = self.calls.entry(call);
+                (call, ctx, ops, slot.latest, slot.ready.take(), slot)
             }
             EventRecord::Transfer {
                 from_call,
                 to_call,
                 bytes,
             } => {
-                if let Some(&(finish, producer)) = self.latest.get(&from_call) {
+                let producer = self.calls.get(from_call).and_then(|state| state.latest);
+                if let Some((finish, producer)) = producer {
                     let ready = finish.saturating_add(self.comm.latency(bytes));
-                    let entry = self.ready.entry(to_call).or_insert((ready, producer));
-                    if ready > entry.0 {
-                        *entry = (ready, producer);
+                    let pending = &mut self.calls.entry(to_call).ready;
+                    if pending.is_none_or(|(earlier, _)| ready > earlier) {
+                        *pending = Some((ready, producer));
                     }
                 }
                 return None;
@@ -198,7 +193,7 @@ impl CriticalPathFold {
             _ => (order_finish, index(order)),
         };
         let finish = start.saturating_add(ops);
-        slot.insert_entry((finish, self.fragments));
+        slot.latest = Some((finish, self.fragments));
         self.fragments += 1;
         self.max_finish = self.max_finish.max(finish);
         Some(FragmentNode {
@@ -255,6 +250,16 @@ impl Default for CriticalPathFold {
     fn default() -> Self {
         Self::new()
     }
+}
+
+/// What [`CriticalPathFold`] keeps per dynamic call.
+#[derive(Debug, Clone, Copy, Default)]
+struct CallState {
+    /// `(finish, fragment)` of the call's latest fragment.
+    latest: Option<(u64, usize)>,
+    /// `(ready, producer fragment)` of the latest-arriving transfer the
+    /// call's next compute consumes; a tie keeps the first producer.
+    ready: Option<(u64, usize)>,
 }
 
 /// Streams a binary event file through [`CriticalPathFold`] with memory
@@ -318,13 +323,23 @@ pub struct EventEdge {
 /// Streaming event-level CDFG fold: rebuilds the context tree, per-context
 /// compute costs, and context-pair transfer edges from the event stream
 /// alone — no profile required.
+///
+/// Runs of computes in one context, and of transfers between one context
+/// pair, are summed in a pending cell that reaches `nodes` or `edges`
+/// only when the context or pair changes, or at [`EventCdfgFold::finish`].
 #[derive(Debug, Clone, Default)]
 pub struct EventCdfgFold {
     /// Context each dynamic call executes in (the attribution map for
     /// transfer records; `CallNumber::ROOT` is seeded lazily).
-    ctx_of: HashMap<CallNumber, ContextId>,
+    ctx_of: CallTable<ContextId>,
     nodes: BTreeMap<ContextId, EventNode>,
     edges: BTreeMap<(ContextId, ContextId), u64>,
+    /// The latest compute's context, with its fragments and ops not yet
+    /// in `nodes`.
+    computes: Option<(ContextId, u64, u64)>,
+    /// The latest attributed transfer's pair, with its bytes not yet in
+    /// `edges`.
+    transfers: Option<((ContextId, ContextId), u64)>,
     /// Transfer bytes whose producer or consumer call was never declared
     /// by a call record (malformed or truncated streams).
     unattributed_bytes: u64,
@@ -352,11 +367,11 @@ impl EventCdfgFold {
                     ContextId::ROOT
                 } else {
                     self.ctx_of
-                        .get(&parent_call)
+                        .get(parent_call)
                         .copied()
                         .unwrap_or(ContextId::ROOT)
                 };
-                self.ctx_of.insert(call, ctx);
+                *self.ctx_of.entry(call) = ctx;
                 self.node(parent_ctx);
                 let node = self.node(ctx);
                 node.calls += 1;
@@ -370,30 +385,54 @@ impl EventCdfgFold {
                     self.node(parent_ctx).children.push(ctx);
                 }
             }
-            EventRecord::Compute { ctx, ops, .. } => {
-                let node = self.node(ctx);
-                node.fragments += 1;
-                node.ops = node.ops.saturating_add(ops);
-            }
+            EventRecord::Compute { ctx, ops, .. } => match &mut self.computes {
+                Some((pending, fragments, sum)) if *pending == ctx => {
+                    *fragments += 1;
+                    *sum = sum.saturating_add(ops);
+                }
+                _ => {
+                    self.flush_computes();
+                    self.computes = Some((ctx, 1, ops));
+                }
+            },
             EventRecord::Transfer {
                 from_call,
                 to_call,
                 bytes,
             } => {
-                let producer = self.ctx_of.get(&from_call).copied();
-                let consumer = self.ctx_of.get(&to_call).copied();
-                match (producer, consumer) {
-                    (Some(p), Some(c)) => {
-                        self.node(p);
-                        self.node(c);
-                        let entry = self.edges.entry((p, c)).or_insert(0);
-                        *entry = entry.saturating_add(bytes);
-                    }
+                let producer = self.ctx_of.get(from_call).copied();
+                let consumer = self.ctx_of.get(to_call).copied();
+                let (Some(p), Some(c)) = (producer, consumer) else {
+                    self.unattributed_bytes = self.unattributed_bytes.saturating_add(bytes);
+                    return;
+                };
+                match &mut self.transfers {
+                    Some((pair, sum)) if *pair == (p, c) => *sum = sum.saturating_add(bytes),
                     _ => {
-                        self.unattributed_bytes = self.unattributed_bytes.saturating_add(bytes);
+                        self.flush_transfers();
+                        self.transfers = Some(((p, c), bytes));
                     }
                 }
             }
+        }
+    }
+
+    /// Adds the pending computes to their context's node.
+    fn flush_computes(&mut self) {
+        if let Some((ctx, fragments, ops)) = self.computes.take() {
+            let node = self.node(ctx);
+            node.fragments += fragments;
+            node.ops = node.ops.saturating_add(ops);
+        }
+    }
+
+    /// Adds the pending transfers to their pair's edge.
+    fn flush_transfers(&mut self) {
+        if let Some(((p, c), bytes)) = self.transfers.take() {
+            self.node(p);
+            self.node(c);
+            let edge = self.edges.entry((p, c)).or_insert(0);
+            *edge = edge.saturating_add(bytes);
         }
     }
 
@@ -405,7 +444,9 @@ impl EventCdfgFold {
     }
 
     /// The finished event-level CDFG.
-    pub fn finish(self) -> EventCdfg {
+    pub fn finish(mut self) -> EventCdfg {
+        self.flush_computes();
+        self.flush_transfers();
         EventCdfg {
             nodes: self.nodes,
             edges: self
@@ -628,7 +669,7 @@ pub fn event_cdfg_from_bin<R: Read>(source: R) -> Result<EventCdfg, StreamError>
 pub struct PhaseFold {
     builder: PhaseBuilder,
     /// Context each dynamic call executes in.
-    ctx_of: HashMap<CallNumber, ContextId>,
+    ctx_of: CallTable<ContextId>,
     /// Recovered phase clock (retired ops since trace start).
     clock: u64,
 }
@@ -639,7 +680,7 @@ impl PhaseFold {
     pub fn new(bucket_ops: u64) -> Self {
         PhaseFold {
             builder: PhaseBuilder::new(bucket_ops),
-            ctx_of: HashMap::new(),
+            ctx_of: CallTable::default(),
             clock: 0,
         }
     }
@@ -648,7 +689,7 @@ impl PhaseFold {
         if call == CallNumber::ROOT {
             ContextId::ROOT
         } else {
-            self.ctx_of.get(&call).copied().unwrap_or(ContextId::ROOT)
+            self.ctx_of.get(call).copied().unwrap_or(ContextId::ROOT)
         }
     }
 
@@ -661,7 +702,7 @@ impl PhaseFold {
                 ctx,
             } => {
                 let from = self.ctx_or_root(parent_call);
-                self.ctx_of.insert(call, ctx);
+                *self.ctx_of.entry(call) = ctx;
                 self.builder.record_call(from, ctx, self.clock);
                 self.clock = self.clock.saturating_add(1);
             }
@@ -1006,6 +1047,154 @@ mod tests {
     }
 
     #[test]
+    fn transfers_alternating_between_two_pairs_sum_per_pair() {
+        let mut records = vec![
+            EventRecord::Call {
+                parent_call: CallNumber::ROOT,
+                call: call(1),
+                ctx: ContextId(1),
+            },
+            EventRecord::Call {
+                parent_call: call(1),
+                call: call(2),
+                ctx: ContextId(2),
+            },
+            EventRecord::Call {
+                parent_call: call(1),
+                call: call(3),
+                ctx: ContextId(3),
+            },
+        ];
+        // 1 → 2 carries the odd byte counts and 1 → 3 the even ones; the
+        // computes alternate between the two consumers.
+        for i in 0..10u64 {
+            let (consumer, ctx) = (call(2 + i % 2), ContextId(2 + (i % 2) as u32));
+            records.push(EventRecord::Transfer {
+                from_call: call(1),
+                to_call: consumer,
+                bytes: i + 1,
+            });
+            records.push(EventRecord::Compute {
+                call: consumer,
+                ctx,
+                ops: i,
+            });
+        }
+        // A zero-byte transfer still names its pair.
+        records.push(EventRecord::Transfer {
+            from_call: call(2),
+            to_call: call(3),
+            bytes: 0,
+        });
+        let cdfg = EventCdfg::from_records(&records);
+        let edge = |producer: u32, consumer: u32, bytes: u64| EventEdge {
+            producer: ContextId(producer),
+            consumer: ContextId(consumer),
+            bytes,
+        };
+        assert_eq!(
+            cdfg.edges(),
+            [edge(1, 2, 25), edge(1, 3, 30), edge(2, 3, 0)].as_slice()
+        );
+        let node = |ctx: u32| cdfg.node(ContextId(ctx)).expect("node");
+        assert_eq!((node(2).fragments, node(2).ops), (5, 20));
+        assert_eq!((node(3).fragments, node(3).ops), (5, 25));
+    }
+
+    /// `records` with every call number but the root's mapped by `f`.
+    fn renumbered(records: &[EventRecord], f: fn(u64) -> u64) -> Vec<EventRecord> {
+        let map = |n: CallNumber| {
+            CallNumber::from_raw(if n == CallNumber::ROOT {
+                0
+            } else {
+                f(n.as_raw())
+            })
+        };
+        records
+            .iter()
+            .map(|record| match *record {
+                EventRecord::Call {
+                    parent_call,
+                    call,
+                    ctx,
+                } => EventRecord::Call {
+                    parent_call: map(parent_call),
+                    call: map(call),
+                    ctx,
+                },
+                EventRecord::Compute { call, ctx, ops } => EventRecord::Compute {
+                    call: map(call),
+                    ctx,
+                    ops,
+                },
+                EventRecord::Transfer {
+                    from_call,
+                    to_call,
+                    bytes,
+                } => EventRecord::Transfer {
+                    from_call: map(from_call),
+                    to_call: map(to_call),
+                    bytes,
+                },
+            })
+            .collect()
+    }
+
+    /// Call numbers 2^20 apart, and call numbers counting down from
+    /// `u64::MAX`.
+    const SPREADS: [fn(u64) -> u64; 2] = [|n| n << 20, |n| u64::MAX - n];
+
+    #[test]
+    fn far_apart_call_numbers_fold_in_memory_bounded_by_the_calls() {
+        // 4,000 calls, each receiving data from its predecessor and
+        // computing.
+        let mut records = Vec::new();
+        for n in 1..=4_000u64 {
+            let ctx = ContextId((n % 7 + 1) as u32);
+            records.extend([
+                EventRecord::Call {
+                    parent_call: call(n - 1),
+                    call: call(n),
+                    ctx,
+                },
+                EventRecord::Transfer {
+                    from_call: call(n - 1),
+                    to_call: call(n),
+                    bytes: n,
+                },
+                EventRecord::Compute {
+                    call: call(n),
+                    ctx,
+                    ops: n % 13,
+                },
+            ]);
+        }
+        let mut critpath = CriticalPathFold::new();
+        critpath.extend(&records);
+        let cdfg = EventCdfg::from_records(&records);
+        let mut phases = PhaseFold::new(100);
+        phases.extend(&records);
+        let phases = phases.finish();
+        for spread in SPREADS {
+            let far = renumbered(&records, spread);
+            let mut far_critpath = CriticalPathFold::new();
+            let mut far_cdfg = EventCdfgFold::new();
+            let mut far_phases = PhaseFold::new(100);
+            far_critpath.extend(&far);
+            far_cdfg.extend(&far);
+            far_phases.extend(&far);
+            // Every number lies past the bound, so none is stored densely
+            // (a dense range reaching them would need 2^32 slots or more).
+            assert_eq!(far_critpath.calls.dense_len(), 0);
+            assert_eq!(far_cdfg.ctx_of.dense_len(), 0);
+            assert_eq!(far_phases.ctx_of.dense_len(), 0);
+            assert_eq!(far_critpath.summary(), critpath.summary());
+            assert_eq!(far_cdfg.finish(), cdfg);
+            assert_eq!(far_phases.finish(), phases);
+        }
+    }
+
+    #[test]
     fn deep_call_chains_fold_merge_and_trim() {
         // A 50,000-deep chain retiring 10 ops per level; the deepest
         // level sends 8 bytes back to the entry.
@@ -1061,6 +1250,30 @@ mod tests {
     }
 
     proptest! {
+        #[test]
+        fn spread_call_numbers_fold_like_dense_ones(
+            records in prop::collection::vec(arb_record(), 0..120),
+        ) {
+            let comm = CommModel::free();
+            let dense = DependencyGraph::from_records(records.iter().copied(), &comm);
+            for spread in SPREADS {
+                let far = renumbered(&records, spread);
+                let graph = DependencyGraph::from_records(far.iter().copied(), &comm);
+                prop_assert_eq!(graph.serial_ops(), dense.serial_ops());
+                for (node, want) in graph.nodes().iter().zip(dense.nodes()) {
+                    prop_assert_eq!(
+                        (node.finish, node.pred, node.order_pred, node.data_pred),
+                        (want.finish, want.pred, want.order_pred, want.data_pred)
+                    );
+                }
+                prop_assert_eq!(EventCdfg::from_records(&far), EventCdfg::from_records(&records));
+                let (mut near_phases, mut far_phases) = (PhaseFold::new(7), PhaseFold::new(7));
+                near_phases.extend(&records);
+                far_phases.extend(&far);
+                prop_assert_eq!(far_phases.finish(), near_phases.finish());
+            }
+        }
+
         #[test]
         fn folded_parent_links_form_a_forest(records in prop::collection::vec(arb_record(), 0..120)) {
             let cdfg = EventCdfg::from_records(&records);

@@ -324,8 +324,24 @@ mod sealed {
             Ok(u64::from_le_bytes(self.array()?))
         }
 
+        /// An LEB128 value. Most are one byte below 0x80, which this
+        /// returns after one bounds check; longer values and damage take
+        /// the out-of-line path.
         #[inline]
         pub(super) fn varint(&mut self) -> Result<u64, BinError> {
+            match self.data.get(self.pos) {
+                Some(&byte) if byte < 0x80 => {
+                    self.pos += 1;
+                    Ok(u64::from(byte))
+                }
+                _ => self.long_varint(),
+            }
+        }
+
+        /// [`Cursor::varint`] past its one-byte case: errors name the
+        /// varint's first byte, or the byte missing from a truncated one.
+        #[inline(never)]
+        fn long_varint(&mut self) -> Result<u64, BinError> {
             let start = self.offset();
             let mut value = 0u64;
             let mut shift = 0u32;
@@ -1523,6 +1539,67 @@ mod tests {
         for delta in [0u64, 1, u64::MAX, u64::MAX - 3, 1 << 40] {
             assert_eq!(unzigzag(zigzag(delta)), delta);
         }
+    }
+
+    #[test]
+    fn damaged_varints_are_located_at_absolute_offsets() {
+        // A Compute record (tag, call delta, context) whose ops varint
+        // starts at payload byte 3, in a payload at absolute offset 1000.
+        let base = 1000;
+        let compute = |ops: &[u8]| [&[1u8, 2, 5][..], ops].concat();
+        let cases: [(&str, Vec<u8>, u64, &str); 5] = [
+            ("no call delta", vec![1], base + 1, "truncated record"),
+            (
+                "ends inside a multi-byte varint",
+                compute(&[0x80, 0x80]),
+                base + 5,
+                "truncated record",
+            ),
+            (
+                "11-byte varint",
+                compute(&[[0x80; 10].as_slice(), &[0x01]].concat()),
+                base + 3,
+                "varint overflows u64",
+            ),
+            (
+                "10th byte overflows",
+                compute(&[[0xff; 9].as_slice(), &[0x02]].concat()),
+                base + 3,
+                "varint overflows u64",
+            ),
+            (
+                "context id past u32",
+                [&[1u8, 2][..], &[0x80, 0x80, 0x80, 0x80, 0x10], &[0]].concat(),
+                base + 2,
+                "context id 4294967296 out of range",
+            ),
+        ];
+        for (case, payload, want_offset, want_message) in cases {
+            let err = decode_chunk_payload::<EventRecord>(&payload, 1, base)
+                .expect_err("damaged payload");
+            let BinError::Format {
+                offset, message, ..
+            } = err
+            else {
+                panic!("{case}: expected a format error");
+            };
+            assert_eq!(
+                (offset, message.as_str()),
+                (want_offset, want_message),
+                "{case}"
+            );
+        }
+        // The longest valid varint still decodes.
+        let max = compute(&[[0xff; 9].as_slice(), &[0x01]].concat());
+        let decoded: Vec<EventRecord> = decode_chunk_payload(&max, 1, base).expect("valid");
+        assert_eq!(
+            decoded,
+            [EventRecord::Compute {
+                call: call(1),
+                ctx: ContextId(5),
+                ops: u64::MAX,
+            }]
+        );
     }
 
     #[test]

@@ -120,10 +120,29 @@ impl PhaseProfile {
 
 /// Accumulates call/transfer tallies and renders them as a canonical
 /// (sorted, sparse) [`PhaseProfile`].
+///
+/// Consecutive tallies almost always hit the same cell, so the latest
+/// cell's sums stay pending and reach the cell map only when a tally
+/// names another cell, or in [`PhaseBuilder::absorb`] and
+/// [`PhaseBuilder::finish`]. Sums saturate as they would cell by cell:
+/// saturating addition of non-negative values is associative.
 #[derive(Debug, Clone)]
 pub struct PhaseBuilder {
     bucket_ops: u64,
     cells: BTreeMap<(ContextId, ContextId), BTreeMap<u64, (u64, u64)>>,
+    pending: Option<PendingCell>,
+}
+
+/// The cell of a [`PhaseBuilder`]'s latest tally, with its sums not yet
+/// in the cell map.
+#[derive(Debug, Clone, Copy)]
+struct PendingCell {
+    from: ContextId,
+    to: ContextId,
+    /// The first phase-clock time of the cell's bucket.
+    start: u64,
+    calls: u64,
+    bytes: u64,
 }
 
 impl PhaseBuilder {
@@ -132,6 +151,7 @@ impl PhaseBuilder {
         PhaseBuilder {
             bucket_ops: bucket_ops.max(1),
             cells: BTreeMap::new(),
+            pending: None,
         }
     }
 
@@ -140,25 +160,54 @@ impl PhaseBuilder {
         at / self.bucket_ops
     }
 
-    fn cell(&mut self, from: ContextId, to: ContextId, at: u64) -> &mut (u64, u64) {
-        let index = self.bucket_of(at);
-        self.cells
-            .entry((from, to))
-            .or_default()
-            .entry(index)
-            .or_insert((0, 0))
+    /// The pending sums of cell `(from, to, bucket_of(at))`, after
+    /// flushing those of any other cell.
+    #[inline]
+    fn cell(&mut self, from: ContextId, to: ContextId, at: u64) -> &mut PendingCell {
+        let hit = self.pending.as_ref().is_some_and(|cell| {
+            cell.from == from
+                && cell.to == to
+                && at >= cell.start
+                && at - cell.start < self.bucket_ops
+        });
+        if !hit {
+            self.flush();
+            self.pending = Some(PendingCell {
+                from,
+                to,
+                start: self.bucket_of(at) * self.bucket_ops,
+                calls: 0,
+                bytes: 0,
+            });
+        }
+        self.pending.as_mut().expect("a cell is pending")
+    }
+
+    /// Adds the pending sums to their cell in the map.
+    fn flush(&mut self) {
+        if let Some(pending) = self.pending.take() {
+            let index = self.bucket_of(pending.start);
+            let cell = self
+                .cells
+                .entry((pending.from, pending.to))
+                .or_default()
+                .entry(index)
+                .or_insert((0, 0));
+            cell.0 += pending.calls;
+            cell.1 = cell.1.saturating_add(pending.bytes);
+        }
     }
 
     /// Tallies one call `from → to` at phase time `at`.
     pub fn record_call(&mut self, from: ContextId, to: ContextId, at: u64) {
-        self.cell(from, to, at).0 += 1;
+        self.cell(from, to, at).calls += 1;
     }
 
     /// Tallies `bytes` transferred `from → to` at phase time `at`.
     pub fn record_transfer(&mut self, from: ContextId, to: ContextId, at: u64, bytes: u64) {
         if bytes > 0 {
             let cell = self.cell(from, to, at);
-            cell.1 = cell.1.saturating_add(bytes);
+            cell.bytes = cell.bytes.saturating_add(bytes);
         }
     }
 
@@ -170,6 +219,7 @@ impl PhaseBuilder {
     /// Panics if the bucket widths differ.
     pub fn absorb(&mut self, profile: &PhaseProfile) {
         assert_eq!(self.bucket_ops, profile.bucket_ops, "bucket width mismatch");
+        self.flush();
         for pair in &profile.pairs {
             let row = self.cells.entry((pair.from, pair.to)).or_default();
             for bucket in &pair.buckets {
@@ -182,7 +232,8 @@ impl PhaseBuilder {
 
     /// Renders the canonical profile: pairs sorted by `(from, to)`,
     /// buckets sorted by index, empty cells dropped.
-    pub fn finish(self) -> PhaseProfile {
+    pub fn finish(mut self) -> PhaseProfile {
+        self.flush();
         let pairs = self
             .cells
             .into_iter()

@@ -1,7 +1,8 @@
 //! Property tests pinning [`PhaseProfile`] bucketing to a reference
 //! model.
 //!
-//! The production builder keeps sparse per-pair cells and emits a
+//! The production builder keeps sparse per-pair cells, with the latest
+//! cell's sums pending until a tally names another cell, and emits a
 //! canonical sorted shape; the reference model here is the obvious
 //! nested map built with nothing but integer division. Any drift in
 //! bucket indexing (floor semantics, boundary timestamps landing in the
@@ -49,6 +50,41 @@ fn arb_fact() -> impl Strategy<Value = Fact> {
     })
 }
 
+impl Fact {
+    /// The same fact `step` ops later on the phase clock.
+    fn later(&self, step: u64) -> Fact {
+        match *self {
+            Fact::Call { from, to, at } => Fact::Call {
+                from,
+                to,
+                at: at + step,
+            },
+            Fact::Transfer {
+                from,
+                to,
+                at,
+                bytes,
+            } => Fact::Transfer {
+                from,
+                to,
+                at: at + step,
+                bytes,
+            },
+        }
+    }
+}
+
+/// Facts in runs on one context pair, as the profiler and the phase fold
+/// emit them: each run repeats a fact up to 12 times, 0 to 2 ops apart,
+/// so most of a run falls in one bucket and some runs cross a boundary.
+fn arb_runs() -> impl Strategy<Value = Vec<Fact>> {
+    proptest::collection::vec((arb_fact(), 1usize..12, 0u64..3), 0..12).prop_map(|runs| {
+        runs.into_iter()
+            .flat_map(|(fact, len, step)| (0..len as u64).map(move |i| fact.later(i * step)))
+            .collect()
+    })
+}
+
 /// The reference model: `(from, to) -> bucket index -> (calls, bytes)`,
 /// bucket index computed directly as `at / width`.
 type Model = BTreeMap<(u32, u32), BTreeMap<u64, (u64, u64)>>;
@@ -93,20 +129,24 @@ fn model_of(facts: &[Fact], width: u64) -> Model {
     model
 }
 
+fn record(builder: &mut PhaseBuilder, fact: &Fact) {
+    match *fact {
+        Fact::Call { from, to, at } => {
+            builder.record_call(ContextId(from), ContextId(to), at);
+        }
+        Fact::Transfer {
+            from,
+            to,
+            at,
+            bytes,
+        } => builder.record_transfer(ContextId(from), ContextId(to), at, bytes),
+    }
+}
+
 fn build(facts: &[Fact], width: u64) -> PhaseProfile {
     let mut builder = PhaseBuilder::new(width);
     for fact in facts {
-        match *fact {
-            Fact::Call { from, to, at } => {
-                builder.record_call(ContextId(from), ContextId(to), at);
-            }
-            Fact::Transfer {
-                from,
-                to,
-                at,
-                bytes,
-            } => builder.record_transfer(ContextId(from), ContextId(to), at, bytes),
-        }
+        record(&mut builder, fact);
     }
     builder.finish()
 }
@@ -137,6 +177,41 @@ proptest! {
         width in 1u64..40,
     ) {
         prop_assert_eq!(flatten(&build(&facts, width)), model_of(&facts, width));
+    }
+
+    /// Runs of tallies on one cell, which the builder sums in its
+    /// pending cell, land as the model says.
+    #[test]
+    fn runs_on_one_cell_match_the_reference_model(
+        facts in arb_runs(),
+        width in 1u64..40,
+    ) {
+        prop_assert_eq!(flatten(&build(&facts, width)), model_of(&facts, width));
+    }
+
+    /// A snapshot taken partway through a run (clone, then finish) sees
+    /// every tally so far, and a profile absorbed partway through a run
+    /// adds to it without losing the pending tallies.
+    #[test]
+    fn snapshots_and_absorbs_mid_run_see_the_pending_cell(
+        facts in arb_runs(),
+        other in arb_runs(),
+        width in 1u64..40,
+        split in 0usize..160,
+    ) {
+        let split = split.min(facts.len());
+        let mut builder = PhaseBuilder::new(width);
+        for fact in &facts[..split] {
+            record(&mut builder, fact);
+        }
+        let snapshot = builder.clone().finish();
+        prop_assert_eq!(flatten(&snapshot), model_of(&facts[..split], width));
+        builder.absorb(&build(&other, width));
+        for fact in &facts[split..] {
+            record(&mut builder, fact);
+        }
+        let all: Vec<Fact> = facts.iter().chain(&other).cloned().collect();
+        prop_assert_eq!(flatten(&builder.finish()), model_of(&all, width));
     }
 
     /// The canonical shape invariants hold: pairs sorted by (from, to)

@@ -2,7 +2,7 @@
 //! both modes, and results identical to the batch pipeline.
 
 use sigil_analysis::streaming::{CriticalPathFold, EventCdfgFold, PhaseFold};
-use sigil_core::{SigilConfig, SigilProfiler};
+use sigil_core::{EventRecord, SigilConfig, SigilProfiler};
 use sigil_serve::{shutdown_server, Client, Listen, ServeConfig, Server, SessionSpec};
 use sigil_trace::io::replay;
 use sigil_trace::{MemAccess, OpClass, RuntimeEvent, SymbolTable};
@@ -137,6 +137,62 @@ fn events_session_matches_streaming_folds() {
     );
     assert_eq!(result.cdfg_contexts, Some(want_cdfg.len() as u64));
     assert_eq!(result.cdfg_edges, Some(want_cdfg.edges().len() as u64));
+}
+
+#[test]
+fn events_snapshots_match_the_folds_over_each_prefix() {
+    let server = Server::bind(Listen::parse("127.0.0.1:0"), ServeConfig::default()).expect("bind");
+    let address = server.address();
+    let (symbols, events) = sample_trace();
+    let profile = batch_profile(&symbols, &events, SigilConfig::default().with_events());
+    let records = profile.events.as_ref().expect("events recorded").records();
+
+    // Chunks of 7 records end inside runs of transfers between one
+    // context pair in one phase bucket, so a snapshot lands while the
+    // phase fold holds a pending cell.
+    let (bucket_ops, chunk) = (64, 7);
+    let spec = SessionSpec::events("snapshots", Some(bucket_ops));
+    let mut client = Client::connect(&address, &spec).expect("connect");
+    client.set_chunk_records(chunk);
+    let mut phases = PhaseFold::new(bucket_ops);
+    let mut critpath = CriticalPathFold::new();
+    for (k, chunk_records) in records.chunks(chunk).enumerate() {
+        client.stream_events(chunk_records).expect("stream");
+        phases.extend(chunk_records);
+        critpath.extend(chunk_records);
+        let snap = client.snapshot().expect("snapshot");
+        let prefix = &records[..k * chunk + chunk_records.len()];
+        assert_eq!(snap.records, prefix.len() as u64);
+        assert_eq!(
+            serde_json::to_string(&snap.phases).expect("json"),
+            serde_json::to_string(&Some(phases.clone().finish())).expect("json"),
+            "phases after chunk {k}"
+        );
+        assert_eq!(
+            snap.critpath,
+            critpath.summary().ok(),
+            "critpath after chunk {k}"
+        );
+        // Counted without the folds: every call and transferred byte of
+        // the prefix sits in some bucket of the snapshot.
+        let buckets = snap
+            .phases
+            .iter()
+            .flat_map(|p| &p.pairs)
+            .flat_map(|p| &p.buckets);
+        let tallied = buckets.fold((0, 0), |(calls, bytes), b| {
+            (calls + b.calls, bytes + b.xfer_bytes)
+        });
+        let sent = prefix
+            .iter()
+            .fold((0, 0), |(calls, bytes), record| match *record {
+                EventRecord::Call { .. } => (calls + 1, bytes),
+                EventRecord::Transfer { bytes: b, .. } => (calls, bytes + b),
+                EventRecord::Compute { .. } => (calls, bytes),
+            });
+        assert_eq!(tallied, sent, "tallies after chunk {k}");
+    }
+    client.finish().expect("finish");
 }
 
 #[test]

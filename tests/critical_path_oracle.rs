@@ -60,25 +60,41 @@ fn amount() -> impl Strategy<Value = u64> + Clone {
     prop_oneof![0..200u64, 0..200u64, 0..200u64, Just(u64::MAX)]
 }
 
+/// A handful of small call numbers, which the folds keep in their dense
+/// call table, and a few near `u64::MAX` and 2^32, which it keeps in its
+/// overflow map.
+fn arb_call() -> impl Strategy<Value = CallNumber> + Clone {
+    prop_oneof![
+        0..8u64,
+        0..8u64,
+        0..8u64,
+        (0..3u64).prop_map(|k| u64::MAX - k),
+        (0..3u64).prop_map(|k| (1 << 32) + k),
+    ]
+    .prop_map(call)
+}
+
 /// Records over a handful of call numbers, so calls are re-declared,
 /// computed without a Call record, and named by transfers before (or
 /// without) any fragment of theirs exists.
 fn arb_record() -> impl Strategy<Value = EventRecord> {
     prop_oneof![
-        (0..8u64, 0..8u64, 0..6u32).prop_map(|(p, c, x)| EventRecord::Call {
-            parent_call: call(p),
-            call: call(c),
+        (arb_call(), arb_call(), 0..6u32).prop_map(|(parent_call, call, x)| EventRecord::Call {
+            parent_call,
+            call,
             ctx: ContextId(x),
         }),
-        (0..8u64, 0..6u32, amount()).prop_map(|(c, x, ops)| EventRecord::Compute {
-            call: call(c),
+        (arb_call(), 0..6u32, amount()).prop_map(|(call, x, ops)| EventRecord::Compute {
+            call,
             ctx: ContextId(x),
             ops,
         }),
-        (0..8u64, 0..8u64, amount()).prop_map(|(f, t, bytes)| EventRecord::Transfer {
-            from_call: call(f),
-            to_call: call(t),
-            bytes,
+        (arb_call(), arb_call(), amount()).prop_map(|(from_call, to_call, bytes)| {
+            EventRecord::Transfer {
+                from_call,
+                to_call,
+                bytes,
+            }
         }),
     ]
 }
